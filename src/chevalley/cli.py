@@ -102,6 +102,8 @@ def cmd_decompose(args, out) -> int:
     ring = make_ring(args.ring)
     text = _sysmod.stdin.read() if args.matrix_file == "-" else open(args.matrix_file).read()
     mat = Mat.from_json(ring, json.loads(text))
+    if mat.n != sy.n:
+        raise ValueError(f"matrix has n = {mat.n}, but {sy.name} acts on n = {sy.n}")
     try:
         f = _decompose.recover(sy, mat)
     except _decompose.RecoveryError as exc:

@@ -477,8 +477,11 @@ def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
             # Cartan subspace survives, with an even product, so the series'
             # one half cancels to an integer
             for st2, c2 in step(st1, r):
+                if c1 * c2 % 2:
+                    raise ArithmeticError(f"odd quadratic coefficient {c1 * c2} at {r}: "
+                                          "the series' one half does not cancel")
                 used.append((kind, idx))
-                dfs(pos + 1, st2, coeff * c1 * c2 // 2, used)
+                dfs(pos + 1, st2, coeff * (c1 * c2 // 2), used)
                 used.pop()
             used.pop()
 

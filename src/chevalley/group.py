@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import StructureConstants, ad_x, ad_x_squared, h_index, root_index
+from .lie import StructureConstants, ad_x, ad_x_tables, h_index, root_index
 from .matrices import Mat
 from .rings import Ring, RingElem, RingError
-from .roots import Root, RootSystem, add, height, neg
+from .roots import Root, RootSystem, add, height, neg, sub
 
 Factor = tuple  # ("x", root, t) | ("h", values) | ("scalar", lam) | ("perm", name, data)
 
@@ -91,7 +91,7 @@ def _factor_matrix(sys: RootSystem, ring: Ring, f: Factor) -> Mat:
     if f[0] == "h":
         return _char_mat(sys, ring, f[1])
     if f[0] == "scalar":
-        return Mat.identity(ring, sys.n).scale(f[1])
+        return Mat.diagonal(ring, [f[1]] * sys.n)
     data = f[2]["matrix"]
     m = Mat.from_int_matrix(ring, data.T if f[2].get("inv") else data)
     return m
@@ -106,7 +106,7 @@ def _factor_inverse(sys: RootSystem, ring: Ring, f: Factor) -> GroupElement:
         return GroupElement(sys, ring, _char_mat(sys, ring, vals), (("h", vals),))
     if f[0] == "scalar":
         lam = f[1].inv()
-        return GroupElement(sys, ring, Mat.identity(ring, sys.n).scale(lam), (("scalar", lam),))
+        return GroupElement(sys, ring, Mat.diagonal(ring, [lam] * sys.n), (("scalar", lam),))
     # signed permutation: the inverse is the transpose
     data = dict(f[2])
     data["inv"] = not f[2].get("inv")
@@ -126,13 +126,8 @@ def word_to_matrix(sys: RootSystem, ring: Ring, word) -> Mat:
 
 
 def _x_mat(sys: RootSystem, ring: Ring, r: Root, t: RingElem) -> Mat:
-    N = _constants(sys)
-    X = ad_x(sys, N, r)
-    X2 = ad_x_squared(sys, N, r)
-    data = Mat.identity(ring, sys.n).data.copy()
-    data += ring.mat_scale_int(t.vec, X)
-    data += ring.mat_scale_int((t * t * ring.half).vec, X2)
-    return Mat(ring, data)
+    X, X2 = ad_x_tables(sys, _constants(sys), r)
+    return Mat.unipotent(ring, sys.n, ((X, t), (X2, t * t * ring.half)))
 
 
 def _constants(sys: RootSystem) -> StructureConstants:
@@ -175,11 +170,22 @@ class Character:
 
 
 def _char_mat(sys: RootSystem, ring: Ring, values: tuple[RingElem, ...]) -> Mat:
-    chi = Character(ring, values)
+    """chi(p) at 2k and chi(p)^-1 at 2k + 1 for the k-th positive root p, and
+    1 on the Cartan rows.
+
+    sys.positive runs by height, so every non-simple root is an earlier root
+    plus a simple root a_i, and its pair is that root's pair times
+    (chi(a_i), chi(a_i)^-1): the l simple values are inverted once and each
+    further root costs two products.
+    """
+    pairs = {s: (v, v.inv()) for s, v in zip(sys.simple, values)}
     diag = []
     for p in sys.positive:
-        v = chi.value(p)
-        diag += [v, v.inv()]
+        if p not in pairs:
+            i, q = next((i, sub(p, s)) for i, s in enumerate(sys.simple) if p[i] and sys.is_root(sub(p, s)))
+            (v, w), (vi, wi) = pairs[q], pairs[sys.simple[i]]
+            pairs[p] = (v * vi, w * wi)
+        diag += pairs[p]
     diag += [ring.one] * sys.rank
     return Mat.diagonal(ring, diag)
 
@@ -205,7 +211,7 @@ def t_k(sys: RootSystem, ring: Ring, k: int, x: RingElem) -> GroupElement:
 def scalar_elem(sys: RootSystem, ring: Ring, lam: RingElem) -> GroupElement:
     if not ring.is_unit_vec(lam.vec):
         raise RingError("scalar factor must be a unit")
-    return GroupElement(sys, ring, Mat.identity(ring, sys.n).scale(lam), (("scalar", lam),))
+    return GroupElement(sys, ring, Mat.diagonal(ring, [lam] * sys.n), (("scalar", lam),))
 
 
 # ---------------------------------------------------------------------------

@@ -115,28 +115,104 @@ def index_of(sys: RootSystem, elem: BasisElem) -> int:
 # ---------------------------------------------------------------------------
 
 
+class SparseColumns:
+    """Nonzero entries of an integer n x n matrix A, grouped by column.
+
+    Built from (src, dst, coeff) triples, A[dst, src] = coeff, with distinct
+    (src, dst); zero coefficients are dropped.  `cols` lists the distinct
+    columns.  A right product M @ A touches only those columns, at
+    O(rows * nnz) cost: the first entry of each column gives M[:, dst] *
+    coeff, and the remaining entries (ad x_a has several only in column
+    x_-a, whose image h_a spreads over the Cartan rows) are added by one
+    small product with `fold`.  All arrays are read-only.
+    """
+
+    __slots__ = ("n", "src", "dst", "coeff", "cols", "lead_dst", "lead_coeff",
+                 "extra_dst", "folded", "fold")
+
+    def __init__(self, n: int, entries):
+        entries = sorted(e for e in entries if e[2])
+        lead, extra, folded = [], [], []
+        for s, d, c in entries:
+            if lead and lead[-1][0] == s:
+                if not folded or folded[-1] != len(lead) - 1:
+                    folded.append(len(lead) - 1)
+                extra.append((d, c, len(folded) - 1))
+            else:
+                lead.append((s, d, c))
+        self.n = n
+        self.src = _frozen([s for s, _, _ in entries])
+        self.dst = _frozen([d for _, d, _ in entries])
+        self.coeff = _frozen([c for _, _, c in entries])
+        self.cols = _frozen([s for s, _, _ in lead])
+        self.lead_dst = _frozen([d for _, d, _ in lead])
+        self.lead_coeff = _frozen([c for _, _, c in lead])
+        self.extra_dst = _frozen([d for d, _, _ in extra])
+        self.folded = _frozen(folded)
+        # len(extra_dst) x len(folded): the coefficient of each further entry
+        fold = np.zeros((len(extra), len(folded)), dtype=np.int64)
+        for e, (_, c, k) in enumerate(extra):
+            fold[e, k] = c
+        self.fold = _frozen(fold)
+
+    def right_mul(self, M: np.ndarray) -> np.ndarray:
+        """Columns `cols` of M @ A over the last two axes of M, as exact
+        unreduced integers."""
+        if M.shape[-1] != self.n:
+            raise ValueError(f"matrix with {M.shape[-1]} columns times a sparse {self.n} x {self.n} table")
+        out = M[..., self.lead_dst] * self.lead_coeff
+        if len(self.extra_dst):
+            out[..., self.folded] += M[..., self.extra_dst] @ self.fold
+        return out
+
+    def dense(self) -> np.ndarray:
+        A = np.zeros((self.n, self.n), dtype=np.int64)
+        A[self.dst, self.src] = self.coeff
+        A.setflags(write=False)
+        return A
+
+
+def _frozen(values) -> np.ndarray:
+    a = np.array(values, dtype=np.int64)
+    a.setflags(write=False)
+    return a
+
+
+def ad_x_tables(sys: RootSystem, N: StructureConstants, r: Root) -> tuple[SparseColumns, SparseColumns]:
+    """Sparse columns of ad x_r and of (ad x_r)^2, built once per root.
+
+    The square is the sparse product of ad x_r with itself, so no dense
+    n x n x n product is ever formed.
+    """
+    r = tuple(r)
+    key = ("ad_tables", r)
+    if key not in sys._ad_cache:
+        columns: dict[int, list[tuple[int, int]]] = {}
+        for col, u in enumerate(basis_elements(sys)):
+            for t, c in N.bracket(("x", r), u).items():
+                columns.setdefault(col, []).append((index_of(sys, t), c))
+        square: dict[tuple[int, int], int] = {}
+        for j, col in columns.items():
+            for k, c in col:
+                for i, c2 in columns.get(k, ()):
+                    square[j, i] = square.get((j, i), 0) + c * c2
+        X = SparseColumns(sys.n, [(j, i, c) for j, col in columns.items() for i, c in col])
+        X2 = SparseColumns(sys.n, [(j, i, c) for (j, i), c in square.items()])
+        sys._ad_cache[key] = (X, X2)
+    return sys._ad_cache[key]
+
+
 def ad_x(sys: RootSystem, N: StructureConstants, r: Root) -> np.ndarray:
     """Matrix of ad x_r on the Chevalley basis; columns index the source vector."""
     key = ("ad", tuple(r))
     if key not in sys._ad_cache:
-        n = sys.n
-        X = np.zeros((n, n), dtype=np.int64)
-        for col, u in enumerate(basis_elements(sys)):
-            for t, c in N.bracket(("x", tuple(r)), u).items():
-                X[index_of(sys, t), col] += c
-        X.setflags(write=False)
-        sys._ad_cache[key] = X
+        sys._ad_cache[key] = ad_x_tables(sys, N, r)[0].dense()
     return sys._ad_cache[key]
 
 
 def ad_x_squared(sys: RootSystem, N: StructureConstants, r: Root) -> np.ndarray:
-    key = ("ad2", tuple(r))
-    if key not in sys._ad_cache:
-        X = ad_x(sys, N, r)
-        X2 = X @ X
-        X2.setflags(write=False)
-        sys._ad_cache[key] = X2
-    return sys._ad_cache[key]
+    """Matrix of (ad x_r)^2, scattered from its sparse table (not cached dense)."""
+    return ad_x_tables(sys, N, r)[1].dense()
 
 
 def t_matrix(sys: RootSystem, i: int) -> np.ndarray:

@@ -4,6 +4,11 @@ Storage is a numpy int64 stack of shape (depth, n, n) with canonical entries;
 multiplication dispatches to the owning ring's exact kernel, so products over
 Z/p^k, F_p[eps]/(eps^k) and extensions all reduce to a handful of integer
 matmuls.
+
+A matrix built by `Mat.diagonal` or `Mat.unipotent` records that structure as
+its factor, and a product with it on the right uses it: a diagonal scales the
+columns of the left operand, and I + sum s_k A_k (sparse integer A_k) adds
+s_k (M A_k) to the few columns A_k touches.  Every other product is dense.
 """
 
 from __future__ import annotations
@@ -14,15 +19,17 @@ from .rings import Ring, RingElem, RingError
 
 
 class Mat:
-    __slots__ = ("ring", "n", "data")
+    __slots__ = ("ring", "n", "data", "factor")
 
-    def __init__(self, ring: Ring, data: np.ndarray, *, reduce: bool = True):
+    def __init__(self, ring: Ring, data: np.ndarray, *, reduce: bool = True, factor=None):
         self.ring = ring
         if reduce:
             data = ring.mat_mod(data.astype(np.int64, copy=True))
         self.n = data.shape[1]
         data.setflags(write=False)
         self.data = data
+        # ("diag", (depth, 1, n) stack) | ("unipotent", ((SparseColumns, (depth, 1, 1) scalar), ...))
+        self.factor = factor
 
     # -- constructors ----------------------------------------------------------
 
@@ -42,17 +49,52 @@ class Mat:
 
     @classmethod
     def diagonal(cls, ring: Ring, elems) -> "Mat":
-        elems = list(elems)
-        n = len(elems)
+        dvec = np.array([e.vec for e in elems], dtype=np.int64).T
+        n = dvec.shape[1]
         data = np.zeros((ring.depth, n, n), dtype=np.int64)
-        for i, e in enumerate(elems):
-            data[:, i, i] = e.vec
-        return cls(ring, data, reduce=False)
+        data[:, np.arange(n), np.arange(n)] = dvec
+        dvec = dvec[:, None, :]
+        dvec.setflags(write=False)
+        return cls(ring, data, reduce=False, factor=("diag", dvec))
+
+    @classmethod
+    def unipotent(cls, ring: Ring, n: int, terms) -> "Mat":
+        """I + sum of s * A over the (A, s) in `terms`: A an integer matrix given
+        by its `SparseColumns`, s a ring element."""
+        data = np.zeros((ring.depth, n, n), dtype=np.int64)
+        np.fill_diagonal(data[0], 1)
+        factor = []
+        for A, s in terms:
+            if A.n != n:
+                raise RingError(f"sparse {A.n} x {A.n} term in a {n} x {n} matrix")
+            svec = np.asarray(s.vec, dtype=np.int64)[:, None, None]
+            svec.setflags(write=False)
+            # (dst, src) pairs are distinct within one table, so each cell is
+            # read and written once per term
+            cells = (slice(None), A.dst, A.src)
+            data[cells] = ring.mat_mod(data[cells][:, None, :] + svec * A.coeff)[:, 0, :]
+            factor.append((A, svec))
+        return cls(ring, data, reduce=False, factor=("unipotent", tuple(factor)))
 
     # -- arithmetic --------------------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        return Mat(self.ring, self.ring.mat_mul(self.data, other.data))
+        ring = self.ring
+        if other.ring != ring or other.n != self.n:
+            raise RingError(f"cannot multiply {self!r} by {other!r}")
+        if other.factor is None:
+            return Mat(ring, ring.mat_mul(self.data, other.data))
+        kind, parts = other.factor
+        if kind == "diag":
+            return Mat(ring, ring.mat_elemmul(self.data, parts), reduce=False)
+        # M (I + sum s A) = M + sum s (M A), column by column over the columns
+        # A touches; M A is reduced before the ring product with s, so every
+        # int64 product stays below q^2
+        out = self.data.copy()
+        for A, svec in parts:
+            sMA = ring.mat_elemmul(svec, ring.mat_mod(A.right_mul(self.data)))
+            out[..., A.cols] = ring.mat_mod(out[..., A.cols] + sMA)
+        return Mat(ring, out, reduce=False)
 
     def __add__(self, other: "Mat") -> "Mat":
         return Mat(self.ring, self.data + other.data)
@@ -62,11 +104,6 @@ class Mat:
 
     def __neg__(self) -> "Mat":
         return Mat(self.ring, -self.data)
-
-    def scale(self, e: RingElem) -> "Mat":
-        one = np.ones((self.n, self.n), dtype=np.int64)
-        svec3 = np.stack([c * one for c in e.vec])
-        return Mat(self.ring, self.ring.mat_elemmul(svec3, self.data))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -102,11 +139,17 @@ class Mat:
 
     # -- conjugation by an invertible diagonal ------------------------------------
 
-    def conjugate_by_diagonal(self, diag: list[RingElem]) -> "Mat":
-        """Compute D · self · D^{-1} for D = diag(diag) without full matmuls."""
+    def conjugate_by_diagonal(self, diag: list[RingElem], inv: list[RingElem] | None = None) -> "Mat":
+        """Compute D · self · D^{-1} for D = diag(diag) without full matmuls.
+
+        `inv` holds the inverses of the entries when the caller already has
+        them; otherwise each entry is inverted here.
+        """
         ring = self.ring
+        if inv is None:
+            inv = [e.inv() for e in diag]
         dvecs = np.stack([np.asarray(e.vec, dtype=np.int64) for e in diag], axis=1)
-        dinv = np.stack([np.asarray(e.inv().vec, dtype=np.int64) for e in diag], axis=1)
+        dinv = np.stack([np.asarray(e.vec, dtype=np.int64) for e in inv], axis=1)
         left = ring.mat_elemmul(dvecs[:, :, None], self.data)
         return Mat(ring, ring.mat_elemmul(left, dinv[:, None, :]))
 
@@ -160,24 +203,31 @@ class Mat:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        rows = [
-            [self.ring.elem_to_json(self.get(i, j)) for j in range(self.n)]
-            for i in range(self.n)
-        ]
-        return {"n": self.n, "ring": self.ring.descriptor, "rows": rows}
+        # entries as Ring.elem_to_json writes them: an int at depth 1, else a list
+        data = self.data[0] if self.ring.depth == 1 else self.data.transpose(1, 2, 0)
+        return {"n": self.n, "ring": self.ring.descriptor, "rows": data.tolist()}
 
     @classmethod
-    def from_json(cls, ring: Ring, obj: dict) -> "Mat":
-        n = int(obj["n"])
+    def from_json(cls, ring: Ring, obj) -> "Mat":
+        """Parse {"n", "ring", "rows"}: exactly n rows of n entries, each an
+        integer or a list of ring.depth integers."""
+        if not isinstance(obj, dict):
+            raise RingError("matrix JSON must be an object with n, ring and rows")
+        n, rows = obj.get("n"), obj.get("rows")
+        if type(n) is not int or n < 1:
+            raise RingError(f"matrix n must be a positive integer, not {n!r}")
         if obj.get("ring") not in (ring.descriptor, "int"):
             raise RingError(f"matrix ring {obj.get('ring')!r} != {ring.descriptor!r}")
-        data = np.zeros((ring.depth, n, n), dtype=np.int64)
-        for i, row in enumerate(obj["rows"]):
-            if len(row) != n:
-                raise RingError("ragged matrix rows")
-            for j, entry in enumerate(row):
-                data[:, i, j] = ring.elem_from_json(entry).vec
-        return cls(ring, data, reduce=False)
+        if not isinstance(rows, list) or len(rows) != n:
+            got = f"{len(rows)} rows" if isinstance(rows, list) else type(rows).__name__
+            raise RingError(f"matrix rows must be a list of n = {n} rows, not {got}")
+        vecs = []
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n:
+                raise RingError(f"matrix row {i} is not a list of n = {n} entries")
+            vecs += [ring.vec_from_json(e) for e in row]
+        data = np.array(vecs, dtype=np.int64).reshape(n, n, ring.depth).transpose(2, 0, 1)
+        return cls(ring, np.ascontiguousarray(data), reduce=False)
 
     def __repr__(self) -> str:
         return f"Mat({self.ring.descriptor}, n={self.n})"

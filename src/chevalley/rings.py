@@ -17,7 +17,7 @@ slot, and each ring supplies the kernels that multiply such stacks exactly.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -130,7 +130,7 @@ class Ring:
     def one(self) -> RingElem:
         return self.from_int(1)
 
-    @property
+    @cached_property
     def half(self) -> RingElem:
         return self.from_int(2).inv()
 
@@ -174,12 +174,6 @@ class Ring:
     def _conv3(self, a, b, op) -> np.ndarray:
         raise NotImplementedError
 
-    def mat_scale_int(self, svec: Vec, intmat: np.ndarray) -> np.ndarray:
-        # scalar times an integer-entry matrix: the integer lifts into slot 0,
-        # so every slot is just svec[d] * intmat
-        s = np.asarray(svec, dtype=np.int64)[:, None, None]
-        return self.mat_mod(s * intmat)
-
     def lift_int_matrix(self, intmat: np.ndarray) -> np.ndarray:
         out = np.zeros((self.depth,) + intmat.shape, dtype=np.int64)
         out[0] = intmat
@@ -219,9 +213,17 @@ class Ring:
         return x.vec[0] if self.depth == 1 else list(x.vec)
 
     def elem_from_json(self, obj) -> RingElem:
-        if isinstance(obj, int):
-            return self.from_int(obj)
-        return self.elem(tuple(int(c) for c in obj))
+        return RingElem(self, self.vec_from_json(obj))
+
+    def vec_from_json(self, obj) -> Vec:
+        """Canonical vector of a JSON entry: an integer, which lifts into slot
+        0, or a list of `depth` integers."""
+        if type(obj) is int:
+            return (obj % self.moduli[0],) + (0,) * (self.depth - 1)
+        if isinstance(obj, (list, tuple)) and len(obj) == self.depth and all(type(c) is int for c in obj):
+            return tuple(c % m for c, m in zip(obj, self.moduli))
+        raise RingError(f"bad {self.descriptor} entry {obj!r}: "
+                        f"expected an integer or a list of {self.depth} integers")
 
     # -- random sampling (tests and seeded suites) ----------------------------
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .decompose import RecoveryError, designated_positions, gauge_normal_form
 from .group import GroupElement, congruence_member, graph_matrix, word_to_matrix, x_elem
-from .lie import ad_x, structure_constants, t_matrix
+from .lie import ad_x, ad_x_squared, structure_constants, t_matrix
 from .rings import RingError
 from .roots import RootSystem, neg
 
@@ -45,9 +45,10 @@ class LinSystem:
 
 def _x_unit_int(sys: RootSystem, r) -> np.ndarray:
     N = structure_constants(sys)
-    X = ad_x(sys, N, r)
-    half = (X @ X) // 2
-    return np.eye(sys.n, dtype=np.int64) + X + half
+    X2 = ad_x_squared(sys, N, r)
+    if (X2 % 2).any():
+        raise ArithmeticError(f"(ad x_{r})^2 has an odd entry: x_{r}(1) is not integral")
+    return np.eye(sys.n, dtype=np.int64) + ad_x(sys, N, r) + X2 // 2
 
 
 def _z_block(sys: RootSystem, xe: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -120,9 +120,24 @@ class LiftReport:
         return all(c.ok for c in self.checks)
 
 
-def _conjugate(lift: TorusLift, g: GroupElement) -> GroupElement:
+def _torus_diagonals(lift: TorusLift, sys: RootSystem) -> tuple[list[RingElem], list[RingElem]]:
+    """The lift's diagonal and its inverse.
+
+    A torus element carries chi(p) at 2k and chi(p)^-1 at 2k + 1 and 1 on the
+    Cartan rows, so the inverse swaps each pair; both facts are checked
+    exactly rather than assumed.
+    """
     diag = lift.element.mat.diagonal_elems()
-    return GroupElement(g.sys, g.ring, g.mat.conjugate_by_diagonal(diag), None)
+    one = lift.ring.one
+    inv = []
+    for k in range(sys.m):
+        a, b = diag[2 * k], diag[2 * k + 1]
+        if a * b != one:
+            raise RingError(f"lift entries {2 * k} and {2 * k + 1} are not mutually inverse")
+        inv += [b, a]
+    if any(e != one for e in diag[2 * sys.m:]):
+        raise RingError("lift is not 1 on the Cartan rows")
+    return diag, inv + diag[2 * sys.m:]
 
 
 def verify_lift(
@@ -138,6 +153,7 @@ def verify_lift(
     always including one of maximal alpha_1 coefficient.
     """
     S, base = lift.ring, lift.base
+    diag, inv = _torus_diagonals(lift, sys)
     checks: list[LiftCheck] = []
     sample: list[Root] = list(sys.simple)
     others = [r for r in sys.roots if r not in sys.simple]
@@ -149,7 +165,7 @@ def verify_lift(
         k = root[0]
         u = base.random_element(rng)
         x = x_elem(sys, S, root, lift.embed(u))
-        lhs = _conjugate(lift, x)
+        lhs = x.mat.conjugate_by_diagonal(diag, inv)
         rhs = x_elem(sys, S, root, lift.embed((lift.r**k) * u))
-        checks.append(LiftCheck(root=root, expected_power=k, ok=lhs == rhs))
+        checks.append(LiftCheck(root=root, expected_power=k, ok=lhs == rhs.mat))
     return LiftReport(system=sys.name, checks=tuple(checks))

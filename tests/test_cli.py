@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from chevalley.cli import main
 from chevalley.decompose import compose
 from chevalley.rings import make_ring
@@ -127,3 +129,66 @@ def test_verify_failure_exit_code_is_one(monkeypatch):
     monkeypatch.setitem(suites.SUITES, "kernel", broken)
     code, _ = run_cli(["verify", "kernel", "--system", "A2", "--ring", "gf:3"])
     assert code == 1
+
+
+def _a2_matrix_json():
+    import random
+
+    f = random_factored(system("A2"), make_ring("zmod:3^4"), random.Random(3))
+    return compose(system("A2"), f).mat.to_json()
+
+
+def _eye_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _fewer_rows(obj):
+    obj["rows"] = obj["rows"][:-1]
+
+
+def _extra_rows(obj):
+    obj["rows"].append(list(obj["rows"][0]))
+
+
+def _float_entry(obj):
+    obj["rows"][2][3] = 1.5
+
+
+def _n3(obj):
+    obj["n"], obj["rows"] = 3, _eye_rows(3)
+
+
+def _rows_not_a_list(obj):
+    obj["rows"] = 7
+
+
+def _n10(obj):
+    obj["n"], obj["rows"] = 10, _eye_rows(10)
+
+
+def _entry_of_wrong_depth(obj):
+    obj["rows"][0][0] = [1, 0]
+
+
+def _not_an_object(obj):
+    obj.clear()
+    obj["__replace__"] = [1, 2, 3]
+
+
+@pytest.mark.parametrize("mangle", [_fewer_rows, _extra_rows, _float_entry, _n3,
+                                    _rows_not_a_list, _n10, _entry_of_wrong_depth,
+                                    _not_an_object],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_decompose_malformed_matrix_exits_two(mangle, tmp_path, capsys):
+    obj = _a2_matrix_json()
+    mangle(obj)
+    payload = obj.get("__replace__", obj)
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_cli(["decompose", "--system", "A2", "--ring", "zmod:3^4",
+                         "--matrix-file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "matmul" not in err

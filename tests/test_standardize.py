@@ -224,3 +224,17 @@ def test_certificate_certified_elements_have_congruent_defects():
     for a in list(A2.simple) + [neg(s) for s in A2.simple]:
         _, cong = conjugation_defect(A2, g, a)
         assert cong
+
+
+def test_odd_square_is_refused_not_floored(monkeypatch):
+    # x_r(1) = I + X + X^2 / 2 is integral because X^2 is even; an odd entry
+    # must raise instead of being floored away
+    from chevalley import standardize
+
+    root = A2.maximal
+    X = ad_x(A2, structure_constants(A2), root)
+    odd = X @ X
+    odd[0, 0] += 1
+    monkeypatch.setattr(standardize, "ad_x_squared", lambda sys, N, r: odd)
+    with pytest.raises(ArithmeticError):
+        standardize._x_unit_int(A2, root)

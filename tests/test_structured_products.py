@@ -1,0 +1,126 @@
+"""Structured right products must equal the dense ring kernel exactly.
+
+`Mat.__matmul__` applies a right operand built by `x_elem` as a sparse column
+update and one built by `Mat.diagonal` as a column scaling.  Here both are
+compared with `Ring.mat_mul` on the same data, for every ring kind, including
+a prime modulus at the top of the int64-exact range.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chevalley.group import x_elem
+from chevalley.lie import SparseColumns, ad_x, ad_x_squared, ad_x_tables, structure_constants
+from chevalley.matrices import Mat
+from chevalley.rings import _MAX_MODULUS, RingError, _is_prime, make_ring
+from chevalley.roots import system
+
+# the largest prime the int64 bound n * (q - 1)^2 < 2^63 admits for n <= 248
+BIG_PRIME = max(p for p in range(_MAX_MODULUS - 100, _MAX_MODULUS + 1) if _is_prime(p))
+RINGS = ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3", f"gf:{BIG_PRIME}"]
+SYSTEMS = ["A2", "D4", "E6"]
+
+
+def random_mat(ring, n, seed) -> Mat:
+    gen = np.random.default_rng(seed)
+    data = np.stack([gen.integers(0, m, (n, n)) for m in ring.moduli])
+    return Mat(ring, data, reduce=False)
+
+
+def dense(M: Mat, X: Mat) -> Mat:
+    return Mat(M.ring, M.ring.mat_mul(M.data, X.data))
+
+
+case = st.tuples(st.sampled_from(SYSTEMS), st.sampled_from(RINGS),
+                 st.integers(0, 2**32 - 1), st.integers(0, 10**9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case)
+def test_generator_product_equals_dense(args):
+    token, desc, seed, pick = args
+    sys, ring = system(token), make_ring(desc)
+    root = sys.roots[pick % len(sys.roots)]
+    t = random_mat(ring, 1, seed + 1).get(0, 0)
+    M = random_mat(ring, sys.n, seed)
+    X = x_elem(sys, ring, root, t).mat
+    assert X.factor is not None
+    P = M @ X
+    assert P == dense(M, X)
+    assert P.factor is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(case)
+def test_diagonal_product_equals_dense(args):
+    token, desc, seed, _ = args
+    sys, ring = system(token), make_ring(desc)
+    D = Mat.diagonal(ring, random_mat(ring, sys.n, seed + 1).diagonal_elems())
+    M = random_mat(ring, sys.n, seed)
+    assert D.factor is not None
+    assert M @ D == dense(M, D)
+
+
+@pytest.mark.parametrize("desc", RINGS)
+def test_extreme_entries_stay_exact(desc):
+    # every entry q - 1 and t = -1: the largest int64 intermediates the
+    # structured path forms
+    sys, ring = system("E6"), make_ring(desc)
+    M = Mat(ring, np.stack([np.full((sys.n, sys.n), m - 1) for m in ring.moduli]), reduce=False)
+    minus_one = -ring.one
+    for root in (sys.maximal, sys.simple[0], tuple(-c for c in sys.maximal)):
+        X = x_elem(sys, ring, root, minus_one).mat
+        assert M @ X == dense(M, X)
+    D = Mat.diagonal(ring, [minus_one] * sys.n)
+    assert M @ D == dense(M, D)
+
+
+@pytest.mark.parametrize("token", SYSTEMS + ["E7"])
+def test_sparse_square_equals_dense_square(token):
+    sys = system(token)
+    N = structure_constants(sys)
+    for r in sys.roots:
+        X = ad_x(sys, N, r)
+        assert np.array_equal(ad_x_squared(sys, N, r), X @ X)
+        table, _ = ad_x_tables(sys, N, r)
+        assert np.array_equal(table.dense(), X)
+
+
+def test_size_mismatch_raises():
+    ring = make_ring("zmod:3^3")
+    a2, d4 = system("A2"), system("D4")
+    M = random_mat(ring, d4.n, 0)
+    with pytest.raises(RingError):
+        M @ x_elem(a2, ring, a2.maximal, ring.one).mat
+    with pytest.raises(RingError):
+        M @ Mat.diagonal(ring, [ring.one] * a2.n)
+    with pytest.raises(RingError):
+        M @ Mat.identity(ring, a2.n)
+    table, _ = ad_x_tables(a2, structure_constants(a2), a2.maximal)
+    with pytest.raises(RingError):
+        Mat.unipotent(ring, d4.n, ((table, ring.one),))
+    with pytest.raises(ValueError):
+        table.right_mul(M.data)
+
+
+def test_ring_mismatch_raises():
+    sys = system("A2")
+    M = random_mat(make_ring("zmod:3^3"), sys.n, 0)
+    with pytest.raises(RingError):
+        M @ x_elem(sys, make_ring("gf:3"), sys.maximal, make_ring("gf:3").one).mat
+
+
+def test_only_generator_and_diagonal_constructors_carry_a_factor():
+    sys, ring = system("A2"), make_ring("trunc:3:3")
+    X = x_elem(sys, ring, sys.maximal, ring.one).mat
+    D = Mat.diagonal(ring, [ring.one] * sys.n)
+    for M in (X @ X, X + D, X.with_entry(0, 0, ring.one), Mat.from_json(ring, X.to_json()),
+              Mat.identity(ring, sys.n)):
+        assert M.factor is None
+
+
+def test_sparse_columns_of_zero_matrix():
+    table = SparseColumns(4, [(1, 2, 0)])
+    assert table.right_mul(np.ones((2, 3, 4), dtype=np.int64)).shape == (2, 3, 0)
