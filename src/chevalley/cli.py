@@ -15,6 +15,7 @@ All structured output is JSON on stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys as _sysmod
 
@@ -114,32 +115,17 @@ def cmd_decompose(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    name = args.suite
-    if name not in ("marked", "jacobi") and not args.ring:
-        print(f"error: suite {name!r} requires --ring", file=_sysmod.stderr)
-        return 2
-    kwargs = {}
-    if name in ("eq1", "lemma2", "lemma3", "certificate", "jacobi"):
-        kwargs["seed"] = args.seed
-    if name in ("lemma2", "certificate"):
-        kwargs["count"] = args.count if args.count else 100
-    if name == "lemma3":
-        kwargs["count"] = args.count if args.count else 10
-        if args.r is not None:
-            kwargs["r_text"] = args.r
-    if name == "eq1":
-        kwargs["count"] = args.count if args.count else 50
-    if name == "jacobi":
-        kwargs["count"] = args.count if args.count else 1000
-    if name == "kernel":
-        kwargs["control"] = args.control
-    fn = suites.SUITES[name]
-    if name in ("marked", "jacobi"):
-        rep = fn(args.system, **kwargs)
-    elif name == "commutator":
-        rep = fn(args.system, args.ring, seed=args.seed)
-    else:
-        rep = fn(args.system, args.ring, **kwargs)
+    fn = suites.SUITES[args.suite]
+    params = inspect.signature(fn).parameters
+    if "ring_desc" in params and not args.ring:
+        raise ValueError(f"suite {args.suite!r} requires --ring")
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, not {args.count}")
+    # each suite gets the options its signature names; a zero count and an
+    # absent --r leave the suite's own defaults in place
+    options = {"ring_desc": args.ring, "count": args.count or None, "seed": args.seed,
+               "r_text": args.r, "control": args.control}
+    rep = fn(args.system, **{k: v for k, v in options.items() if k in params and v is not None})
     if args.format == "json":
         _emit(rep, out)
     else:

@@ -18,7 +18,6 @@ and nilpotency forces exact termination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .group import GroupElement, scalar_elem, t_k, x_elem
@@ -33,6 +32,7 @@ from .roots import (
     height,
     marked_sequence,
     neg,
+    solve_rational,
     sub,
 )
 
@@ -159,30 +159,12 @@ class PositionTable:
 
 
 def _exponent_inverse(sys: RootSystem, diag_roots) -> tuple[tuple[int, ...], ...]:
-    l = sys.rank
     rows = [[1] + [-c for c in rho] for rho in diag_roots]
-    M = [[Fraction(x) for x in row] for row in rows]
-    inv = [[Fraction(int(i == j)) for j in range(l + 1)] for i in range(l + 1)]
-    for c in range(l + 1):
-        piv = next((r for r in range(c, l + 1) if M[r][c] != 0), None)
-        if piv is None:
-            raise RecoveryError("diagonal exponent system is singular")
-        M[c], M[piv] = M[piv], M[c]
-        inv[c], inv[piv] = inv[piv], inv[c]
-        f = M[c][c]
-        M[c] = [x / f for x in M[c]]
-        inv[c] = [x / f for x in inv[c]]
-        for r in range(l + 1):
-            if r != c and M[r][c] != 0:
-                g = M[r][c]
-                M[r] = [x - g * y for x, y in zip(M[r], M[c])]
-                inv[r] = [x - g * y for x, y in zip(inv[r], inv[c])]
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise RecoveryError("exponent system is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    eye = [[int(i == j) for j in range(sys.rank + 1)] for i in range(sys.rank + 1)]
+    inv = solve_rational(rows, eye)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise RecoveryError("exponent system is not unimodular")
+    return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 @lru_cache(maxsize=None)

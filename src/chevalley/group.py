@@ -60,11 +60,6 @@ class GroupElement:
             return GroupElement(self.sys, self.ring, self.mat.neumann_inv(), None)
         return GroupElement(self.sys, self.ring, self.mat.inv(), None)
 
-    def is_invertible(self) -> bool:
-        if self.word is not None or self.mat.is_diagonal():
-            return True
-        return self.mat.is_invertible()
-
     def word_to_json(self) -> list:
         if self.word is None:
             raise RingError("element has no generator word")

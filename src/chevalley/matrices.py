@@ -156,29 +156,12 @@ class Mat:
     # -- inverses ------------------------------------------------------------------
 
     def inv(self) -> "Mat":
-        """Exact inverse via elimination on unit pivots (local-ring safe)."""
+        """Exact inverse by `Ring.solve` on unit pivots (local-ring safe)."""
         ring, n = self.ring, self.n
-        A = [[self.get(i, j) for j in range(n)] for i in range(n)]
-        B = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if ring.is_unit_vec(A[r][c].vec)), None)
-            if piv is None:
-                raise RingError("matrix is not invertible (no unit pivot)")
-            A[c], A[piv] = A[piv], A[c]
-            B[c], B[piv] = B[piv], B[c]
-            f = A[c][c].inv()
-            A[c] = [f * x for x in A[c]]
-            B[c] = [f * x for x in B[c]]
-            for r in range(n):
-                if r != c and A[r][c].vec != ring.zero.vec:
-                    g = A[r][c]
-                    A[r] = [x - g * y for x, y in zip(A[r], A[c])]
-                    B[r] = [x - g * y for x, y in zip(B[r], B[c])]
-        data = np.zeros((ring.depth, n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                data[:, i, j] = B[i][j].vec
-        return Mat(ring, data, reduce=False)
+        vecs = [list(map(tuple, row)) for row in self.data.transpose(1, 2, 0).tolist()]
+        eye = [[ring.one.vec if i == j else ring.zero.vec for j in range(n)] for i in range(n)]
+        data = np.array(ring.solve(vecs, eye), dtype=np.int64).reshape(n, n, ring.depth)
+        return Mat(ring, np.ascontiguousarray(data.transpose(2, 0, 1)), reduce=False)
 
     def neumann_inv(self) -> "Mat":
         """Inverse of I - N with nilpotent N; valid when self = I mod radical."""
@@ -192,13 +175,6 @@ class Mat:
             acc = acc + power
             power = power @ N
         return acc
-
-    def is_invertible(self) -> bool:
-        try:
-            self.inv()
-            return True
-        except RingError:
-            return False
 
     # -- serialization ----------------------------------------------------------
 

@@ -122,11 +122,11 @@ class Ring:
         vec[0] = n
         return self.elem(tuple(vec))
 
-    @property
+    @cached_property
     def zero(self) -> RingElem:
         return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self) -> RingElem:
         return self.from_int(1)
 
@@ -159,6 +159,36 @@ class Ring:
 
     def is_unit_vec(self, a: Vec) -> bool:
         raise NotImplementedError
+
+    def solve(self, A: list[list[Vec]], B: list[list[Vec]]) -> list[list[Vec]]:
+        """X with A X = B, by Gauss-Jordan elimination on unit pivots.
+
+        A is n x n and B is n x k, both lists of rows of canonical vectors.
+        Over a local ring this succeeds exactly when A is invertible; a column
+        with no unit on or below the diagonal raises RingError.
+        """
+        n = len(A)
+        mul, add, zero = self.mul_vec, self.add_vec, self.zero.vec
+        rows = [list(a) + list(b) for a, b in zip(A, B)]
+        width = len(rows[0])
+        for c in range(n):
+            piv = next((r for r in range(c, n) if self.is_unit_vec(rows[r][c])), None)
+            if piv is None:
+                raise RingError(f"no unit pivot in column {c} over {self.descriptor}")
+            rows[c], rows[piv] = rows[piv], rows[c]
+            top = rows[c]
+            # columns up to c are final: only columns beyond c are updated
+            f = self.inv_vec(top[c])
+            for j in range(c + 1, width):
+                if top[j] != zero:
+                    top[j] = mul(f, top[j])
+            for r, row in enumerate(rows):
+                if r != c and row[c] != zero:
+                    g = self.neg_vec(row[c])
+                    for j in range(c + 1, width):
+                        if top[j] != zero:
+                            row[j] = add(row[j], mul(g, top[j]))
+        return [row[n:] for row in rows]
 
     # -- matrix kernels: data is int64 of shape (depth, r, c), canonical ------
 
@@ -443,31 +473,21 @@ class ExtRing(Ring):
             return False
 
     def inv_vec(self, a: Vec) -> Vec:
-        # solve (mult-by-a) x = 1 over the base by elimination on unit pivots;
-        # over a local base this succeeds exactly for units
-        base, m = self.base, self.m
-        cols = []
-        cur = a
-        for _ in range(m):
-            cols.append(self._blocks(cur))
-            cur = self.mul_vec(cur, self.gen.vec)
-        M = [[cols[j][i] for j in range(m)] for i in range(m)]
-        rhs = [base.one.vec if i == 0 else base.zero.vec for i in range(m)]
-        for c in range(m):
-            piv = next((i for i in range(c, m) if base.is_unit_vec(M[i][c])), None)
-            if piv is None:
-                raise RingError("not a unit in the extension ring")
-            M[c], M[piv] = M[piv], M[c]
-            rhs[c], rhs[piv] = rhs[piv], rhs[c]
-            inv = base.inv_vec(M[c][c])
-            M[c] = [base.mul_vec(inv, x) for x in M[c]]
-            rhs[c] = base.mul_vec(inv, rhs[c])
-            for i in range(m):
-                if i != c and M[i][c] != base.zero.vec:
-                    f = M[i][c]
-                    M[i] = [base.add_vec(x, base.neg_vec(base.mul_vec(f, y))) for x, y in zip(M[i], M[c])]
-                    rhs[i] = base.add_vec(rhs[i], base.neg_vec(base.mul_vec(f, rhs[c])))
-        return self._join(rhs)
+        # a x = 1 is m linear equations over the base: column j of the matrix
+        # of multiplication by a holds the blocks of a y^j, and multiplying
+        # by y moves each block up one place and wraps the last round by r
+        base = self.base
+        cols = [self._blocks(a)]
+        for _ in range(self.m - 1):
+            prev = cols[-1]
+            cols.append([base.mul_vec(self.r.vec, prev[-1])] + prev[:-1])
+        A = [list(row) for row in zip(*cols)]
+        rhs = [[base.one.vec]] + [[base.zero.vec]] * (self.m - 1)
+        try:
+            x = base.solve(A, rhs)
+        except RingError:
+            raise RingError("not a unit in the extension ring") from None
+        return self._join(row[0] for row in x)
 
     def _conv3(self, a, b, op):
         base, m, d = self.base, self.m, self.base.depth

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -57,6 +58,31 @@ def cartan_matrix(kind: str, rank: int) -> np.ndarray:
     for a, b in edges:
         A[a, b] = A[b, a] = -1
     return A
+
+
+def solve_rational(A, B) -> list[list[Fraction]]:
+    """X with A X = B over the rationals, by exact Gauss-Jordan elimination.
+
+    A is a square integer matrix and B an integer matrix with as many rows,
+    both given as sequences of rows; a singular A raises RootSystemError.
+    """
+    n = len(A)
+    rows = [[Fraction(int(x)) for x in a] + [Fraction(int(x)) for x in b] for a, b in zip(A, B)]
+    width = len(rows[0])
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            raise RootSystemError("singular rational system")
+        rows[c], rows[piv] = rows[piv], rows[c]
+        top = rows[c]
+        # columns up to c are final: only columns beyond c are updated
+        for j in range(c + 1, width):
+            top[j] /= top[c]
+        for r, row in enumerate(rows):
+            if r != c and row[c]:
+                for j in range(c + 1, width):
+                    row[j] -= row[c] * top[j]
+    return [row[n:] for row in rows]
 
 
 def height(r: Root) -> int:

@@ -19,7 +19,6 @@ from .group import (
     commutator_check,
     diagram_automorphisms,
     graph_matrix,
-    t_k,
     x_elem,
 )
 from .lie import jacobi_defect, structure_constants
@@ -260,15 +259,10 @@ def random_congruence_word(sys: RootSystem, ring: Ring, rng, length: int = 30) -
 
 
 def eq3_element(sys: RootSystem, ring: Ring, rng) -> GroupElement:
-    """Random congruence element in torus * positive * negative factor order."""
-    g = GroupElement.identity(sys, ring)
-    for k in range(sys.rank):
-        g = g @ t_k(sys, ring, k, ring.one + ring.random_radical(rng))
-    for p in sys.positive:
-        g = g @ x_elem(sys, ring, p, ring.random_radical(rng))
-    for p in sys.positive:
-        g = g @ x_elem(sys, ring, neg(p), ring.random_radical(rng))
-    return g
+    """Random congruence element in torus * positive * negative factor order:
+    the normal form of a random factorization (its scalar factor is
+    congruent to 1 and central)."""
+    return decompose.compose(sys, random_factored(sys, ring, rng))
 
 
 def suite_certificate(system_token: str, ring_desc: str, count: int = 100, seed: int = 0) -> dict:

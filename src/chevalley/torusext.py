@@ -11,55 +11,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 from .group import GroupElement, h_alpha, x_elem
 from .rings import ExtRing, Ring, RingElem, RingError, adjoin_root, is_unit
-from .roots import Root, RootSystem
+from .roots import Root, RootSystem, build_root_system, solve_rational
 
-# (root power m, exponent of the adjoined root s in each h_{alpha_i} factor)
-LIFT_TABLES: dict[str, tuple[int, tuple[int, ...]]] = {
-    "A": (0, ()),  # computed per rank: m = l + 1, exponents (l, l-1, ..., 1)
-    "D": (2, ()),  # m = 2, exponents (2, ..., 2, 1, 1)
-    "E6": (3, (4, 3, 5, 6, 4, 2)),
-    "E7": (1, (2, 2, 3, 4, 3, 2, 1)),
-    "E8": (1, (4, 5, 7, 10, 8, 6, 4, 2)),
-}
+
+def coweight_exponents(sys: RootSystem) -> tuple[int, tuple[int, ...]]:
+    """(m, e) with e / m = A^{-1} e_1, the first fundamental coweight, and m
+    its least common denominator."""
+    x = [row[0] for row in solve_rational(sys.cartan, [[int(i == 0)] for i in range(sys.rank)])]
+    m = math.lcm(*(v.denominator for v in x))
+    return m, tuple(int(v * m) for v in x)
+
+
+@lru_cache(maxsize=None)
+def _lift_exponents(kind: str, rank: int) -> tuple[int, tuple[int, ...]]:
+    return coweight_exponents(build_root_system(kind, rank))
 
 
 def lift_exponents(sys: RootSystem) -> tuple[int, tuple[int, ...]]:
     """(m, exponents): the lift is prod_i h_{alpha_i}(s^{e_i}) with s^m = r."""
-    if sys.kind == "A":
-        l = sys.rank
-        return l + 1, tuple(range(l, 0, -1))
-    if sys.kind == "D":
-        return 2, tuple([2] * (sys.rank - 2) + [1, 1])
-    m, exps = LIFT_TABLES[sys.name]
-    return m, exps
-
-
-def coweight_exponents(sys: RootSystem) -> tuple[int, tuple[int, ...]]:
-    """Independent derivation: clear denominators in A^{-1} e_1."""
-    l = sys.rank
-    A = [[Fraction(int(sys.cartan[i, j])) for j in range(l)] for i in range(l)]
-    rhs = [Fraction(int(i == 0)) for i in range(l)]
-    # solve A x = e_1 exactly
-    for c in range(l):
-        piv = next(r for r in range(c, l) if A[r][c] != 0)
-        A[c], A[piv] = A[piv], A[c]
-        rhs[c], rhs[piv] = rhs[piv], rhs[c]
-        f = A[c][c]
-        A[c] = [x / f for x in A[c]]
-        rhs[c] /= f
-        for r in range(l):
-            if r != c and A[r][c] != 0:
-                g = A[r][c]
-                A[r] = [x - g * y for x, y in zip(A[r], A[c])]
-                rhs[r] -= g * rhs[c]
-    denom = 1
-    for x in rhs:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    return denom, tuple(int(x * denom) for x in rhs)
+    return _lift_exponents(sys.kind, sys.rank)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def test_decompose_failure_exits_one(tmp_path):
     assert code == 1
 
 
-def test_bad_configuration_exits_two():
+def test_bad_configuration_exits_two(capsys):
     code, _ = run_cli(["roots", "--system", "B3"])
     assert code == 2
     code, _ = run_cli(["verify", "kernel", "--system", "A2", "--ring", "zmod:3^3"])
@@ -113,6 +113,13 @@ def test_bad_configuration_exits_two():
     assert code == 2
     code, _ = run_cli(["verify", "graph", "--system", "D4"])
     assert code == 2
+    capsys.readouterr()
+    for argv in (["verify", "lemma2", "--system", "A2", "--ring", "zmod:3^2", "--count", "-3"],
+                 ["verify", "jacobi", "--system", "E6", "--count", "-1"]):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_failure_exit_code_is_one(monkeypatch):

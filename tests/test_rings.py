@@ -1,11 +1,15 @@
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley.rings import RingError, adjoin_root, is_unit, make_ring, radical_member, residue
+from chevalley.group import GroupElement, t_k, x_elem
+from chevalley.matrices import Mat
+from chevalley.rings import ExtRing, RingError, adjoin_root, is_unit, make_ring, radical_member, residue
+from chevalley.roots import system
 
 
 def egcd_inverse(a, m):
@@ -206,3 +210,68 @@ def test_elem_parse_format_roundtrip():
             x = ring.random_element(rng)
             assert ring.parse_elem(ring.format_elem(x)) == x
             assert ring.elem_from_json(ring.elem_to_json(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# the unit-pivot solver behind RingElem.inv on extensions and Mat.inv
+# ---------------------------------------------------------------------------
+
+SOLVER_RINGS = ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3", "ext:trunc:3:2:1,1:2"]
+
+
+def _unit_by_search(ring, x) -> bool:
+    """Independent oracle: x is a unit iff its image modulo the radical of the
+    (base) local ring is, decided by trying every element of that image ring."""
+    if ring.kind == "ext":
+        base = ring.base
+        bar = ExtRing(base.residue_field(), base.residue_vec(ring.r.vec), ring.m)
+        xbar = sum((base.residue_vec(blk).vec for blk in ring._blocks(x.vec)), ())
+    else:
+        bar, xbar = ring.residue_field(), ring.residue_vec(x.vec).vec
+    return any(bar.mul_vec(xbar, z) == bar.one.vec
+               for z in product(range(bar.moduli[0]), repeat=bar.depth))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SOLVER_RINGS), st.integers(0, 2**32))
+def test_inverse_exists_exactly_for_units(desc, seed):
+    ring = make_ring(desc)
+    x = ring.random_element(random.Random(seed))
+    if _unit_by_search(ring, x):
+        assert x * x.inv() == ring.one
+    else:
+        with pytest.raises(RingError):
+            x.inv()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SOLVER_RINGS), st.sampled_from(["A2", "A3"]), st.integers(0, 2**32))
+def test_mat_inv_of_generator_products(desc, token, seed):
+    """Mat.inv of a word-free product of x_a(t) and torus factors.
+
+    Over a local ring the parameters are arbitrary.  An extension is not
+    local, and elimination on unit pivots can miss an invertible matrix there,
+    so its parameters lie in the base's radical times S: the product is then
+    diagonal with unit entries modulo that radical, and every column keeps a
+    unit pivot.
+    """
+    ring, sy, rng = make_ring(desc), system(token), random.Random(seed)
+    if ring.local:
+        param = ring.random_element
+    else:
+        def param(r):
+            return ring.embed(ring.base.random_radical(r)) * ring.random_element(r)
+    g = GroupElement.identity(sy, ring)
+    for _ in range(6):
+        if rng.random() < 0.3:
+            g = g @ t_k(sy, ring, rng.randrange(sy.rank), ring.random_unit(rng))
+        else:
+            g = g @ x_elem(sy, ring, sy.roots[rng.randrange(len(sy.roots))], param(rng))
+    M = Mat(ring, g.mat.data)
+    inv = M.inv()
+    assert (inv @ M).is_identity()
+    assert (M @ inv).is_identity()
+    singular = M.data.copy()
+    singular[:, :, 0] = 0
+    with pytest.raises(RingError):
+        Mat(ring, singular).inv()

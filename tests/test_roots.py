@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevalley.roots import (
     RootSystemError,
@@ -11,6 +13,7 @@ from chevalley.roots import (
     marked_sequence,
     neg,
     parse_system,
+    solve_rational,
     sub,
     sum_decomposition,
     system,
@@ -303,3 +306,28 @@ def test_classification_covers_every_positive_root():
         assert set(labels) == set(sys.positive)
         members = {r for r, lab in labels.items() if lab == "member"}
         assert members == set(seq.gammas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=n, max_size=n))))
+def test_solve_rational_is_exact(system_pair):
+    A, B = system_pair
+    n = len(A)
+    # singular exactly when the rows are dependent: compare with an exact
+    # determinant by cofactor expansion
+    def det(M):
+        if len(M) == 1:
+            return M[0][0]
+        return sum((-1) ** j * M[0][j] * det([row[:j] + row[j + 1:] for row in M[1:]])
+                   for j in range(len(M)))
+
+    if det(A) == 0:
+        with pytest.raises(RootSystemError):
+            solve_rational(A, B)
+        return
+    X = solve_rational(A, B)
+    for i in range(n):
+        for k in range(2):
+            assert sum(Fraction(A[i][j]) * X[j][k] for j in range(n)) == B[i][k]
