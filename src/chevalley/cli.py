@@ -117,15 +117,26 @@ def cmd_decompose(args, out) -> int:
 def cmd_verify(args, out) -> int:
     fn = suites.SUITES[args.suite]
     params = inspect.signature(fn).parameters
+    # each option given is passed as the suite parameter it names, and one
+    # the suite's signature lacks is refused; an absent option (None) leaves
+    # the suite's own default in place
+    options = {"--ring": ("ring_desc", args.ring), "--count": ("count", args.count),
+               "--seed": ("seed", args.seed), "--r": ("r_text", args.r),
+               "--control": ("control", args.control)}
+    kwargs = {}
+    for flag, (name, value) in options.items():
+        if value is None:
+            continue
+        if name not in params:
+            raise ValueError(f"suite {args.suite!r} takes no {flag}")
+        kwargs[name] = value
     if "ring_desc" in params and not args.ring:
         raise ValueError(f"suite {args.suite!r} requires --ring")
-    if args.count < 0:
+    if kwargs.get("count", 0) < 0:
         raise ValueError(f"--count must be at least 0, not {args.count}")
-    # each suite gets the options its signature names; a zero count and an
-    # absent --r leave the suite's own defaults in place
-    options = {"ring_desc": args.ring, "count": args.count or None, "seed": args.seed,
-               "r_text": args.r, "control": args.control}
-    rep = fn(args.system, **{k: v for k, v in options.items() if k in params and v is not None})
+    if kwargs.get("count") == 0:    # a zero count keeps the suite's default
+        del kwargs["count"]
+    rep = fn(args.system, **kwargs)
     if args.format == "json":
         _emit(rep, out)
     else:
@@ -171,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(suites.SUITES))
     common(p)
-    p.add_argument("--count", type=int, default=0, help="instance count for seeded suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, help="instance count for seeded suites (0: the suite's default)")
+    p.add_argument("--seed", type=int, help="seed for seeded suites (default 0)")
     p.add_argument("--r", help="explicit unit for the lemma3 suite")
-    p.add_argument("--control", action="store_true",
+    p.add_argument("--control", action="store_true", default=None,
                    help="kernel suite: plain commutation control system")
     p.set_defaults(fn=cmd_verify)
     return ap

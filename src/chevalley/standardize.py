@@ -19,7 +19,7 @@ import numpy as np
 
 from .decompose import RecoveryError, designated_positions, gauge_normal_form
 from .group import GroupElement, congruence_member, graph_matrix, word_to_matrix, x_elem
-from .lie import ad_x, ad_x_squared, structure_constants, t_matrix
+from .lie import SparseColumns, ad_x, ad_x_squared, ad_x_tables, structure_constants, t_matrix
 from .rings import RingError
 from .roots import RootSystem, neg
 
@@ -28,7 +28,8 @@ from .roots import RootSystem, neg
 class LinSystem:
     system: str
     p: int
-    matrix: np.ndarray          # equations x unknowns, entries mod p
+    matrix: np.ndarray          # COO (3, nnz): row, column, value in [1, p); see _coo
+    equations: int
     z_unknowns: int
     abc_unknowns: int
     blocks: tuple[tuple[int, ...], ...]
@@ -37,10 +38,6 @@ class LinSystem:
     @property
     def unknowns(self) -> int:
         return self.z_unknowns + self.abc_unknowns
-
-    @property
-    def equations(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _x_unit_int(sys: RootSystem, r) -> np.ndarray:
@@ -51,13 +48,35 @@ def _x_unit_int(sys: RootSystem, r) -> np.ndarray:
     return np.eye(sys.n, dtype=np.int64) + ad_x(sys, N, r) + X2 // 2
 
 
-def _z_block(sys: RootSystem, xe: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Coefficients of vec(Z xe - xe Z) on the kept z-cells (row-major vec)."""
-    n = sys.n
-    eye = np.eye(n, dtype=np.int64)
-    # vec(A Z B) = (A kron B^T) vec(Z) for row-major vec
-    M = np.kron(eye, xe.T) - np.kron(xe, eye)
-    return M[:, keep]
+def _coo(rows, cols, vals, p: int) -> np.ndarray:
+    """Canonical COO over F_p: an int64 array (3, nnz) of row, column and
+    value, sorted by (row, column), with duplicates summed, values reduced
+    into [1, p) and zeros dropped."""
+    rows, cols, vals = (np.asarray(a, dtype=np.int64) for a in (rows, cols, vals))
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order] % p
+    if len(rows):
+        first = np.flatnonzero(np.r_[True, (np.diff(rows) != 0) | (np.diff(cols) != 0)])
+        rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first) % p
+    nz = vals != 0
+    return np.stack([rows[nz], cols[nz], vals[nz]])
+
+
+def _commutator_entries(xe: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, cell, value) triples of vec(Z xe - xe Z), row-major on both sides.
+
+    Row (i, j) gets +xe[k, j] on cell (i, k) and -xe[i, k] on cell (k, j).
+    The identity part of xe commutes with Z, so only the nonzeros of
+    xe - I are read, each once per value of the free index.
+    """
+    n = xe.shape[0]
+    a, b = np.nonzero(xe - np.eye(n, dtype=np.int64))
+    v = xe[a, b]
+    f = np.arange(n)[:, None]
+    rows = np.concatenate([(f * n + b).ravel(), (a * n + f).ravel()])
+    cells = np.concatenate([(f * n + a).ravel(), (b * n + f).ravel()])
+    vals = np.concatenate([np.tile(v, n), np.tile(-v, n)])
+    return rows, cells, vals
 
 
 def build_linearized_system(sys: RootSystem, p: int) -> LinSystem:
@@ -67,37 +86,44 @@ def build_linearized_system(sys: RootSystem, p: int) -> LinSystem:
     zeros = table.cell_set()
     keep = np.array([i * n + j for i in range(n) for j in range(n) if (i, j) not in zeros])
     z_cols = len(keep)
+    column = np.full(n * n, -1, dtype=np.int64)
+    column[keep] = np.arange(z_cols)
 
+    # sparse columns of T_1..T_l, then ad x_r for every root r; each block
+    # drops its own root's generator
+    N = structure_constants(sys)
+    torus = [SparseColumns(n, [(c, c, int(d)) for c, d in enumerate(t_matrix(sys, i).diagonal())])
+             for i in range(sys.rank)]
+    gens = {r: ad_x_tables(sys, N, r)[0] for r in sys.roots}
     blocks = [s for s in sys.simple] + [neg(s) for s in sys.simple]
-    per_block_mats = []
-    for e in blocks:
-        mats = [t_matrix(sys, i) for i in range(sys.rank)]
-        N = structure_constants(sys)
-        for r in sys.positive:
-            if r != e:
-                mats.append(ad_x(sys, N, r))
-        for r in sys.positive:
-            if neg(r) != e:
-                mats.append(ad_x(sys, N, neg(r)))
-        per_block_mats.append(mats)
 
-    abc_cols = sum(len(m) for m in per_block_mats)
-    rows = 2 * sys.rank * n * n
-    A = np.zeros((rows, z_cols + abc_cols), dtype=np.int64)
+    rows, cols, vals = [], [], []
     off = z_cols
     for bi, e in enumerate(blocks):
+        base = bi * n * n
         xe = _x_unit_int(sys, e)
-        sl = slice(bi * n * n, (bi + 1) * n * n)
-        A[sl, :z_cols] = _z_block(sys, xe, keep)
-        for k, M in enumerate(per_block_mats[bi]):
-            A[sl, off + k] = -(xe @ M).reshape(-1)
-        off += len(per_block_mats[bi])
+        eq, cell, v = _commutator_entries(xe)
+        kept = column[cell] >= 0
+        rows.append(base + eq[kept])
+        cols.append(column[cell[kept]])
+        vals.append(v[kept])
+        mats = torus + [gens[r] for r in sys.positive if r != e]
+        mats += [gens[neg(r)] for r in sys.positive if neg(r) != e]
+        # the column of -(xe M) for each M, from M's nonzero columns
+        for k, M in enumerate(mats):
+            P = M.right_mul(xe)
+            i, c = np.nonzero(P)
+            rows.append(base + i * n + M.cols[c])
+            cols.append(np.full(len(i), off + k, dtype=np.int64))
+            vals.append(-P[i, c])
+        off += len(mats)
     return LinSystem(
         system=sys.name,
         p=p,
-        matrix=A % p,
+        matrix=_coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), p),
+        equations=len(blocks) * n * n,
         z_unknowns=z_cols,
-        abc_unknowns=abc_cols,
+        abc_unknowns=off - z_cols,
         blocks=tuple(tuple(e) for e in blocks),
     )
 
@@ -105,14 +131,17 @@ def build_linearized_system(sys: RootSystem, p: int) -> LinSystem:
 def build_commutation_system(sys: RootSystem, p: int) -> LinSystem:
     """Control system: plain commutation with every x_alpha(1), no frozen cells."""
     n = sys.n
-    keep = np.arange(n * n)
-    rows = []
-    for r in sys.roots:
-        rows.append(_z_block(sys, _x_unit_int(sys, r), keep))
+    rows, cols, vals = [], [], []
+    for bi, r in enumerate(sys.roots):
+        eq, cell, v = _commutator_entries(_x_unit_int(sys, r))
+        rows.append(bi * n * n + eq)
+        cols.append(cell)
+        vals.append(v)
     return LinSystem(
         system=sys.name,
         p=p,
-        matrix=np.vstack(rows) % p,
+        matrix=_coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), p),
+        equations=len(sys.roots) * n * n,
         z_unknowns=n * n,
         abc_unknowns=0,
         blocks=tuple(tuple(r) for r in sys.roots),
@@ -121,29 +150,39 @@ def build_commutation_system(sys: RootSystem, p: int) -> LinSystem:
 
 
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Row-echelon rank over F_p; first nonzero in row-major order pivots."""
-    A = (matrix % p).astype(np.int64, copy=True)
-    rows, cols = A.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if A[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
-        colv = A[r + 1:, c]
-        mask = colv != 0
-        if mask.any():
-            A[r + 1:][mask] = (A[r + 1:][mask] - np.outer(colv[mask], A[r])) % p
-        r += 1
-        if r == rows:
+    """Rank over F_p of an integer COO matrix (3, nnz): row, column, value.
+
+    Sparse row echelon in exact Python ints.  Rows are taken in order, each
+    as a dict from column to value.  A row is reduced by the pivot row of
+    its leading (smallest) column for as long as that column has one; then
+    it becomes the pivot row of its leading column, scaled to a leading 1,
+    or it has vanished.  The scan stops once every column that holds a
+    nonzero has a pivot.
+    """
+    rows, cols, vals = _coo(*matrix, p)
+    bounds = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]
+    cols, vals = cols.tolist(), vals.tolist()
+    full = len(set(cols))
+    pivots: dict[int, dict[int, int]] = {}
+    for s, e in zip(bounds, bounds[1:]):
+        if len(pivots) == full:
             break
-    return r
+        row = dict(zip(cols[s:e], vals[s:e]))
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in piv.items():
+                x = (row.get(c, 0) - f * v) % p
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def kernel_dimension(lin: LinSystem) -> int:

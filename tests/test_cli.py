@@ -115,7 +115,13 @@ def test_bad_configuration_exits_two(capsys):
     assert code == 2
     capsys.readouterr()
     for argv in (["verify", "lemma2", "--system", "A2", "--ring", "zmod:3^2", "--count", "-3"],
-                 ["verify", "jacobi", "--system", "E6", "--count", "-1"]):
+                 ["verify", "jacobi", "--system", "E6", "--count", "-1"],
+                 # options the chosen suite does not take
+                 ["verify", "kernel", "--system", "A2", "--ring", "gf:3", "--seed", "3"],
+                 ["verify", "commutator", "--system", "A2", "--ring", "gf:3", "--count", "5"],
+                 ["verify", "eq1", "--system", "A2", "--ring", "gf:3", "--r", "2"],
+                 ["verify", "jacobi", "--system", "A2", "--ring", "gf:3"],
+                 ["verify", "graph", "--system", "A2", "--ring", "gf:3", "--control"]):
         code, out = run_cli(argv)
         err = capsys.readouterr().err
         assert code == 2 and out == ""

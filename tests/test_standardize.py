@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevalley.decompose import compose, designated_positions
 from chevalley.group import GroupElement, graph_matrix, x_elem
@@ -21,6 +23,54 @@ from chevalley.suites import eq3_element, random_factored
 
 A2 = system("A2")
 Z27 = make_ring("zmod:3^3")
+
+
+def coo(M):
+    """Integer COO (3, nnz) of a dense matrix: row, column, value."""
+    i, j = np.nonzero(M)
+    return np.array([i, j, M[i, j]], dtype=np.int64).reshape(3, -1)
+
+
+def dense(lin):
+    A = np.zeros((lin.equations, lin.unknowns), dtype=np.int64)
+    A[lin.matrix[0], lin.matrix[1]] = lin.matrix[2]
+    return A
+
+
+def assert_canonical(lin):
+    rows, cols, vals = lin.matrix
+    assert lin.matrix.dtype == np.int64 and lin.matrix.shape[0] == 3
+    key = rows * lin.unknowns + cols
+    assert (np.diff(key) > 0).all()  # sorted by (row, column), no duplicates
+    assert ((vals >= 1) & (vals < lin.p)).all()
+    assert ((rows >= 0) & (rows < lin.equations)).all() and ((cols >= 0) & (cols < lin.unknowns)).all()
+
+
+def dense_rank_mod_p(matrix, p):
+    """Row-echelon rank over F_p of a dense int64 array; the first nonzero
+    at or below the current row pivots.  Reference for the sparse rank."""
+    A = (matrix % p).astype(np.int64, copy=True)
+    rows, cols = A.shape
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if A[i, c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            A[[r, piv]] = A[[piv, r]]
+        A[r] = A[r] * pow(int(A[r, c]), -1, p) % p
+        colv = A[r + 1:, c]
+        mask = colv != 0
+        if mask.any():
+            A[r + 1:][mask] = (A[r + 1:][mask] - np.outer(colv[mask], A[r])) % p
+        r += 1
+        if r == rows:
+            break
+    return r
 
 
 def naive_block_assembly(sys, p):
@@ -85,13 +135,15 @@ def test_linearized_system_census_a3_d4():
     assert d4.equations == 8 * 28 * 28
 
 
-def test_matrix_assembly_matches_naive_oracle():
-    lin = build_linearized_system(A2, 3)
-    oracle = naive_block_assembly(A2, 3)
-    assert np.array_equal(lin.matrix, oracle)
+@pytest.mark.parametrize("token,p", [("A2", 3), ("A2", 5), ("A3", 3), ("D4", 3)])
+def test_matrix_assembly_matches_naive_oracle(token, p):
+    lin = build_linearized_system(system(token), p)
+    assert_canonical(lin)
+    oracle = naive_block_assembly(system(token), p)
+    assert np.array_equal(dense(lin), oracle)
 
 
-@pytest.mark.parametrize("token,p", [("A2", 3), ("A2", 5), ("A3", 3), ("A3", 5)])
+@pytest.mark.parametrize("token,p", [("A2", 3), ("A2", 5), ("A3", 3), ("A3", 5), ("E6", 3)])
 def test_kernel_dimension_zero(token, p):
     lin = build_linearized_system(system(token), p)
     assert kernel_dimension(lin) == 0
@@ -99,26 +151,58 @@ def test_kernel_dimension_zero(token, p):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_commutation_control_kernel_is_scalars(p):
-    lin = build_commutation_system(A2, p)
-    assert lin.z_unknowns == 64
-    assert kernel_dimension(lin) == 1
-    # independent cross-check via numpy kron in column-major convention
-    n = A2.n
-    N = structure_constants(A2)
-    rows = []
-    for r in A2.roots:
-        X = ad_x(A2, N, r)
-        xe = np.eye(n, dtype=np.int64) + X + (X @ X) // 2
-        rows.append(np.kron(xe.T, np.eye(n, dtype=np.int64)) - np.kron(np.eye(n, dtype=np.int64), xe))
-    M = np.vstack(rows) % p
-    assert n * n - rank_mod_p(M, p) == 1
+    for token in ("A2", "A3"):
+        sy = system(token)
+        lin = build_commutation_system(sy, p)
+        assert lin.z_unknowns == sy.n ** 2
+        assert kernel_dimension(lin) == 1
+        assert_canonical(lin)
+        # independent cross-checks via numpy kron: the row-major system
+        # itself, and the rank in the column-major convention
+        n = sy.n
+        N = structure_constants(sy)
+        eye = np.eye(n, dtype=np.int64)
+        row_major, col_major = [], []
+        for r in sy.roots:
+            X = ad_x(sy, N, r)
+            xe = eye + X + (X @ X) // 2
+            row_major.append(np.kron(eye, xe.T) - np.kron(xe, eye))
+            col_major.append(np.kron(xe.T, eye) - np.kron(eye, xe))
+        assert np.array_equal(dense(lin), np.vstack(row_major) % p)
+        M = np.vstack(col_major) % p
+        assert n * n - rank_mod_p(coo(M), p) == 1
+        assert n * n - dense_rank_mod_p(M, p) == 1
 
 
 def test_rank_mod_p_small_cases():
     M = np.array([[1, 2], [2, 4]])
-    assert rank_mod_p(M, 5) == 1
-    assert rank_mod_p(np.eye(3, dtype=np.int64), 3) == 3
-    assert rank_mod_p(np.zeros((2, 2), dtype=np.int64), 3) == 0
+    assert rank_mod_p(coo(M), 5) == 1
+    assert rank_mod_p(coo(np.eye(3, dtype=np.int64)), 3) == 3
+    assert rank_mod_p(coo(np.zeros((2, 2), dtype=np.int64)), 3) == 0
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Up to 12 x 12, mostly zeros, with zero rows, repeated rows and
+    combinations of two rows inserted anywhere (rank-deficient cases)."""
+    cols = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9))
+    M = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 12 - len(M)))):
+        i, j = draw(st.integers(0, len(M) - 1)), draw(st.integers(0, len(M) - 1))
+        a, b = draw(st.integers(-4, 4)), draw(st.sampled_from([0, 0, 1, -2]))
+        derived = [a * x + b * y for x, y in zip(M[i], M[j])]
+        M.insert(draw(st.integers(0, len(M))), derived)
+    return np.array(M, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_integer_matrices(), st.sampled_from([2, 3, 5, 7]))
+def test_sparse_rank_matches_dense_reference(M, p):
+    assert rank_mod_p(coo(M), p) == dense_rank_mod_p(M, p)
+    # the rank does not depend on how the entries are listed
+    perm = np.random.default_rng(0).permutation(coo(M).shape[1])
+    assert rank_mod_p(coo(M)[:, perm], p) == dense_rank_mod_p(M, p)
 
 
 def test_conjugation_defect_identity_cases():
