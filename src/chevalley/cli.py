@@ -132,6 +132,8 @@ def cmd_verify(args, out) -> int:
         kwargs[name] = value
     if "ring_desc" in params and not args.ring:
         raise ValueError(f"suite {args.suite!r} requires --ring")
+    if "r_text" in kwargs and "count" in kwargs:
+        raise ValueError("--r names the one unit to check, so it takes no --count")
     if kwargs.get("count", 0) < 0:
         raise ValueError(f"--count must be at least 0, not {args.count}")
     if kwargs.get("count") == 0:    # a zero count keeps the suite's default

@@ -21,14 +21,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .group import GroupElement, scalar_elem, t_k, x_elem
-from .lie import ad_x, h_index, root_index, structure_constants
+from .lie import ad_x, ad_x_tables, h_index, root_index, structure_constants
 from .matrices import Mat
 from .rings import Ring, RingElem, RingError, is_unit
 from .roots import (
-    MarkedSequence,
     Root,
     RootSystem,
-    add,
     height,
     marked_sequence,
     neg,
@@ -77,11 +75,6 @@ class FactoredElement:
             t=(ring.zero,) * sys.m,
             u=(ring.zero,) * sys.m,
         )
-
-
-def torus_exponents(sys: RootSystem, mu: Root) -> tuple[int, ...]:
-    """Exponent of each s_i in the diagonal value at root position mu."""
-    return tuple(mu)
 
 
 def _torus_diag(sys: RootSystem, f: FactoredElement) -> list[RingElem]:
@@ -262,9 +255,7 @@ def _positions(kind: str, rank: int) -> PositionTable:
     return table
 
 
-def designated_positions(sys: RootSystem, seq: MarkedSequence | None = None) -> PositionTable:
-    if seq is not None and seq.system != sys.name:
-        raise RecoveryError("marked sequence belongs to a different system")
+def designated_positions(sys: RootSystem) -> PositionTable:
     return _positions(sys.kind, sys.rank)
 
 
@@ -396,11 +387,15 @@ class EntryFormula:
 def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
     """Formal description of the compose entry at (row mu, column nu).
 
-    mu and nu are roots, or ("h", i) for a Cartan row/column.  A path starts
-    at the column's basis vector and applies the unipotent factors right to
-    left, each step a bracket with one factor's generator; only paths ending
-    on the row's basis vector contribute.  Steps through the Cartan subspace
-    carry the bracket's integer coefficients, so such terms are not just +-1.
+    mu and nu are roots, or ("h", i) for a Cartan row/column.  The column's
+    basis vector is pushed through the unipotent factors right to left, each
+    x_r(t) = I + t X_r + (t^2/2) X_r^2 moving a basis state along the entries
+    of the `ad_x_tables` of r, with a polynomial in the parameters carried per
+    state.  A backward pass first marks, after each factor, the states from
+    which the row can still be reached, and the forward pass keeps only those.
+    Entries of X_r^2 arise only through the Cartan subspace and are even, so
+    the series' one half cancels to an integer; X_r entries through the
+    Cartan subspace make coefficients beyond +-1.
     """
     N = structure_constants(sys)
     mu_l = ("h", mu[1]) if isinstance(mu[0], str) else ("x", tuple(mu))
@@ -408,71 +403,48 @@ def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
     row = h_index(sys, mu_l[1]) if mu_l[0] == "h" else root_index(sys, mu_l[1])
     col = h_index(sys, nu_l[1]) if nu_l[0] == "h" else root_index(sys, nu_l[1])
 
-    # factors in the order they act on a column vector (rightmost first)
-    applied: list[tuple[str, int, Root]] = []
-    for i in reversed(range(sys.m)):
-        applied.append(("u", i, neg(sys.positive[i])))
-    for i in reversed(range(sys.m)):
-        applied.append(("t", i, sys.positive[i]))
+    # factors in the order they act on a column vector (rightmost first),
+    # each as its edges (src, dst, integer coefficient, factors gained)
+    applied = [("u", i, neg(p)) for i, p in enumerate(sys.positive)][::-1]
+    applied += [("t", i, p) for i, p in enumerate(sys.positive)][::-1]
+    layers = []
+    for kind, idx, r in applied:
+        X, X2 = ad_x_tables(sys, N, r)
+        odd = X2.coeff[X2.coeff % 2 != 0]
+        if len(odd):
+            raise ArithmeticError(f"odd quadratic coefficient {odd[0]} at {r}: "
+                                  "the series' one half does not cancel")
+        once, twice = ((kind, idx),), ((kind, idx), (kind, idx))
+        layers.append(list(zip(X.src.tolist(), X.dst.tolist(), X.coeff.tolist(), [once] * len(X.src)))
+                      + list(zip(X2.src.tolist(), X2.dst.tolist(), (X2.coeff // 2).tolist(),
+                                 [twice] * len(X2.src))))
 
-    # state: ("x", root) or ("h", coefficient vector over h_1..h_l)
-    if nu_l[0] == "h":
-        start = ("h", tuple(1 if q == nu_l[1] else 0 for q in range(sys.rank)))
-    else:
-        start = ("x", nu_l[1])
+    # live[k]: states from which the row is reachable through factors k, k+1, ...
+    live = [{row}]
+    for edges in reversed(layers):
+        live.append(live[-1] | {s for s, d, _, _ in edges if d in live[-1]})
+    live.reverse()
 
-    terms: list[tuple[int, tuple[tuple[str, int], ...]]] = []
+    state: dict[int, dict[tuple, int]] = {col: {(): 1}}
+    for k, edges in enumerate(layers):
+        after = live[k + 1]
+        # the identity term keeps each polynomial; one is copied only when
+        # an edge adds to it
+        nxt = {s: poly for s, poly in state.items() if s in after}
+        written: set[int] = set()
+        for s, d, c, gained in edges:
+            if s in state and d in after:
+                if d not in written:
+                    written.add(d)
+                    nxt[d] = dict(nxt.get(d, {}))
+                target = nxt[d]
+                for fs, v in state[s].items():
+                    key = fs + gained
+                    target[key] = target.get(key, 0) + c * v
+        state = nxt
 
-    def final_coeff(state) -> int:
-        if mu_l[0] == "h":
-            return state[1][mu_l[1]] if state[0] == "h" else 0
-        return 1 if state == mu_l else 0
-
-    def step(state, r: Root):
-        """One application of X_r: yields (new state, integer coefficient)."""
-        if state[0] == "x":
-            src = state[1]
-            s = add(src, r)
-            if sys.is_root(s):
-                yield ("x", s), N.n(r, src)
-            elif all(c == 0 for c in s):
-                # [x_r, x_{-r}] = h_r; coroot coefficients = the coefficients of r
-                yield ("h", tuple(r)), 1
-        else:
-            hv = state[1]
-            c = -sum(h * sys.pairing(tuple(r), sys.simple[q]) for q, h in enumerate(hv))
-            if c:
-                yield ("x", tuple(r)), c
-
-    def dfs(pos: int, state, coeff: int, used: list) -> None:
-        if pos == len(applied):
-            c = coeff * final_coeff(state)
-            if c:
-                terms.append((c, tuple(used)))
-            return
-        kind, idx, r = applied[pos]
-        dfs(pos + 1, state, coeff, used)
-        for st1, c1 in step(state, r):
-            used.append((kind, idx))
-            dfs(pos + 1, st1, coeff * c1, used)
-            # quadratic term of the same factor: only the route through the
-            # Cartan subspace survives, with an even product, so the series'
-            # one half cancels to an integer
-            for st2, c2 in step(st1, r):
-                if c1 * c2 % 2:
-                    raise ArithmeticError(f"odd quadratic coefficient {c1 * c2} at {r}: "
-                                          "the series' one half does not cancel")
-                used.append((kind, idx))
-                dfs(pos + 1, st2, coeff * (c1 * c2 // 2), used)
-                used.pop()
-            used.pop()
-
-    dfs(0, start, 1, [])
-    merged: dict[tuple, int] = {}
-    for c, fs in terms:
-        merged[fs] = merged.get(fs, 0) + c
     final = tuple(
-        (c, fs) for fs, c in sorted(merged.items(), key=lambda kv: (len(kv[0]), kv[0])) if c
+        (c, fs) for fs, c in sorted(state.get(row, {}).items(), key=lambda kv: (len(kv[0]), kv[0])) if c
     )
     return EntryFormula(
         system=sys.name,

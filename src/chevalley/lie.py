@@ -227,15 +227,6 @@ def t_matrix(sys: RootSystem, i: int) -> np.ndarray:
     return T
 
 
-def h_diagonal(sys: RootSystem, r: Root) -> np.ndarray:
-    """Diagonal of H_r = [X_r, X_{-r}]: pairing <beta, r> at each root position."""
-    d = np.zeros(sys.n, dtype=np.int64)
-    for k, p in enumerate(sys.positive):
-        d[2 * k] = sys.pairing(p, r)
-        d[2 * k + 1] = -sys.pairing(p, r)
-    return d
-
-
 def _bracket_combo(N: StructureConstants, u: BasisElem, combo: dict[BasisElem, int]) -> dict[BasisElem, int]:
     out: dict[BasisElem, int] = {}
     for v, c in combo.items():

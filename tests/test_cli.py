@@ -120,6 +120,8 @@ def test_bad_configuration_exits_two(capsys):
                  ["verify", "kernel", "--system", "A2", "--ring", "gf:3", "--seed", "3"],
                  ["verify", "commutator", "--system", "A2", "--ring", "gf:3", "--count", "5"],
                  ["verify", "eq1", "--system", "A2", "--ring", "gf:3", "--r", "2"],
+                 # one explicit unit with an instance count
+                 ["verify", "lemma3", "--system", "A2", "--ring", "zmod:5^3", "--r", "2", "--count", "5"],
                  ["verify", "jacobi", "--system", "A2", "--ring", "gf:3"],
                  ["verify", "graph", "--system", "A2", "--ring", "gf:3", "--control"]):
         code, out = run_cli(argv)

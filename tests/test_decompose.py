@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chevalley import decompose
 from chevalley.decompose import (
+    EntryFormula,
     FactoredElement,
     RecoveryError,
     compose,
@@ -10,11 +14,11 @@ from chevalley.decompose import (
     entry_formula,
     gauge_normal_form,
     recover,
-    torus_exponents,
 )
 from chevalley.group import GroupElement
+from chevalley.lie import SparseColumns, ad_x_tables, h_index, root_index, structure_constants
 from chevalley.rings import make_ring
-from chevalley.roots import neg, system
+from chevalley.roots import Root, RootSystem, add, neg, system
 from chevalley.suites import eq3_element, random_congruence_word, random_factored
 
 A2 = system("A2")
@@ -53,12 +57,6 @@ def test_a2_displayed_cells():
     assert X.get(3, 5) == lam * t1 * s2.inv()
     assert X.get(5, 1) == -(lam * u2 * (s1 * s2).inv())
     assert X.get(5, 3) == lam * u1 * (s1 * s2).inv()
-
-
-def test_torus_exponents():
-    assert torus_exponents(A2, (-1, 0)) == (-1, 0)
-    assert torus_exponents(A2, (-1, -1)) == (-1, -1)
-    assert torus_exponents(A2, (1, 0)) == (1, 0)
 
 
 def test_designated_positions_a2_golden():
@@ -250,3 +248,142 @@ def test_entry_formula_quadratic_terms_are_integral():
     by_factors = {tuple(sorted(fs)): c for c, fs in ef.terms}
     assert abs(by_factors[(("u", 2),)]) == 1
     assert abs(by_factors[(("u", 0), ("u", 1))]) == 2
+
+
+# Reference: the path-enumeration DFS that entry_formula replaced.  It walks
+# every path of brackets through the factors, re-deriving each bracket from
+# root sums, structure constants and Cartan pairings, so it shares no code
+# with the generator tables entry_formula pushes states through.
+def dfs_entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
+    """Formal description of the compose entry at (row mu, column nu).
+
+    mu and nu are roots, or ("h", i) for a Cartan row/column.  A path starts
+    at the column's basis vector and applies the unipotent factors right to
+    left, each step a bracket with one factor's generator; only paths ending
+    on the row's basis vector contribute.  Steps through the Cartan subspace
+    carry the bracket's integer coefficients, so such terms are not just +-1.
+    """
+    N = structure_constants(sys)
+    mu_l = ("h", mu[1]) if isinstance(mu[0], str) else ("x", tuple(mu))
+    nu_l = ("h", nu[1]) if isinstance(nu[0], str) else ("x", tuple(nu))
+    row = h_index(sys, mu_l[1]) if mu_l[0] == "h" else root_index(sys, mu_l[1])
+    col = h_index(sys, nu_l[1]) if nu_l[0] == "h" else root_index(sys, nu_l[1])
+
+    # factors in the order they act on a column vector (rightmost first)
+    applied: list[tuple[str, int, Root]] = []
+    for i in reversed(range(sys.m)):
+        applied.append(("u", i, neg(sys.positive[i])))
+    for i in reversed(range(sys.m)):
+        applied.append(("t", i, sys.positive[i]))
+
+    # state: ("x", root) or ("h", coefficient vector over h_1..h_l)
+    if nu_l[0] == "h":
+        start = ("h", tuple(1 if q == nu_l[1] else 0 for q in range(sys.rank)))
+    else:
+        start = ("x", nu_l[1])
+
+    terms: list[tuple[int, tuple[tuple[str, int], ...]]] = []
+
+    def final_coeff(state) -> int:
+        if mu_l[0] == "h":
+            return state[1][mu_l[1]] if state[0] == "h" else 0
+        return 1 if state == mu_l else 0
+
+    def step(state, r: Root):
+        """One application of X_r: yields (new state, integer coefficient)."""
+        if state[0] == "x":
+            src = state[1]
+            s = add(src, r)
+            if sys.is_root(s):
+                yield ("x", s), N.n(r, src)
+            elif all(c == 0 for c in s):
+                # [x_r, x_{-r}] = h_r; coroot coefficients = the coefficients of r
+                yield ("h", tuple(r)), 1
+        else:
+            hv = state[1]
+            c = -sum(h * sys.pairing(tuple(r), sys.simple[q]) for q, h in enumerate(hv))
+            if c:
+                yield ("x", tuple(r)), c
+
+    def dfs(pos: int, state, coeff: int, used: list) -> None:
+        if pos == len(applied):
+            c = coeff * final_coeff(state)
+            if c:
+                terms.append((c, tuple(used)))
+            return
+        kind, idx, r = applied[pos]
+        dfs(pos + 1, state, coeff, used)
+        for st1, c1 in step(state, r):
+            used.append((kind, idx))
+            dfs(pos + 1, st1, coeff * c1, used)
+            # quadratic term of the same factor: only the route through the
+            # Cartan subspace survives, with an even product, so the series'
+            # one half cancels to an integer
+            for st2, c2 in step(st1, r):
+                if c1 * c2 % 2:
+                    raise ArithmeticError(f"odd quadratic coefficient {c1 * c2} at {r}: "
+                                          "the series' one half does not cancel")
+                used.append((kind, idx))
+                dfs(pos + 1, st2, coeff * (c1 * c2 // 2), used)
+                used.pop()
+            used.pop()
+
+    dfs(0, start, 1, [])
+    merged: dict[tuple, int] = {}
+    for c, fs in terms:
+        merged[fs] = merged.get(fs, 0) + c
+    final = tuple(
+        (c, fs) for fs, c in sorted(merged.items(), key=lambda kv: (len(kv[0]), kv[0])) if c
+    )
+    return EntryFormula(
+        system=sys.name,
+        row=row,
+        col=col,
+        row_label=mu_l,
+        col_label=nu_l,
+        terms=final,
+    )
+
+
+def _cells(token):
+    sys = system(token)
+    labels = list(sys.roots) + [("h", i) for i in range(sys.rank)]
+    return st.tuples(st.just(sys), st.sampled_from(labels), st.sampled_from(labels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_cells("A2"), _cells("A3"), _cells("D4")))
+def test_entry_formula_equals_path_dfs(cell):
+    sys, mu, nu = cell
+    assert entry_formula(sys, mu, nu) == dfs_entry_formula(sys, mu, nu)
+
+
+def test_entry_formula_rejects_odd_quadratic_coefficient(monkeypatch):
+    def odd_square(sys, N, r):
+        X, X2 = ad_x_tables(sys, N, r)
+        entries = zip(X2.src.tolist(), X2.dst.tolist(), X2.coeff.tolist())
+        return X, SparseColumns(sys.n, [(s, d, c + 1) for s, d, c in entries])
+
+    monkeypatch.setattr(decompose, "ad_x_tables", odd_square)
+    with pytest.raises(ArithmeticError, match="odd quadratic coefficient"):
+        entry_formula(A2, neg((1, 1)), (1, 1))
+
+
+@pytest.mark.parametrize("mu,nu,count", [
+    ((-1, -2, -2, -3, -2, -1), (1, 2, 2, 3, 2, 1), 614),
+    (("h", 0), ("h", 0), 4198),
+])
+def test_entry_formula_e6_matches_compose(mu, nu, count):
+    sys = system("E6")
+    ef = entry_formula(sys, mu, nu)
+    assert len(ef.terms) == count
+    ring = make_ring("gf:10007")
+    rng = random.Random(50)
+    f = FactoredElement(
+        ring=ring,
+        lam=ring.random_unit(rng),
+        s=tuple(ring.random_unit(rng) for _ in range(sys.rank)),
+        t=tuple(ring.random_element(rng) for _ in range(sys.m)),
+        u=tuple(ring.random_element(rng) for _ in range(sys.m)),
+    )
+    assert ef.evaluate(sys, f) == compose(sys, f).mat.get(ef.row, ef.col)

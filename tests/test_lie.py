@@ -7,7 +7,6 @@ import pytest
 from chevalley.lie import (
     ad_x,
     basis_elements,
-    h_diagonal,
     index_of,
     jacobi_defect,
     root_index,
@@ -101,7 +100,9 @@ def test_opposite_root_bracket_is_cartan(token):
     for r in sys.roots:
         A, B = ad_x(sys, N, r), ad_x(sys, N, neg(r))
         H = A @ B - B @ A
-        assert np.array_equal(np.diag(H), h_diagonal(sys, r))
+        # H_r scales x_beta by <beta, r>, so x_-beta by -<beta, r>
+        pairings = [sign * sys.pairing(p, r) for p in sys.positive for sign in (1, -1)]
+        assert np.array_equal(np.diag(H), pairings + [0] * sys.rank)
         assert np.array_equal(H, np.diag(np.diag(H)))
 
 
