@@ -58,6 +58,16 @@ class FactoredElement:
 
     @classmethod
     def from_json(cls, ring: Ring, obj: dict) -> "FactoredElement":
+        """Parse {"lambda": entry, "s": [...], "t": [...], "u": [...]}; the
+        list lengths are checked against a system by `compose`."""
+        if not isinstance(obj, dict):
+            raise RingError("factored element JSON must be an object with lambda, s, t and u")
+        missing = [k for k in ("lambda", "s", "t", "u") if k not in obj]
+        if missing:
+            raise RingError(f"factored element JSON lacks {', '.join(missing)}")
+        for k in ("s", "t", "u"):
+            if not isinstance(obj[k], list):
+                raise RingError(f"factored element {k} must be a list, not {type(obj[k]).__name__}")
         return cls(
             ring=ring,
             lam=ring.elem_from_json(obj["lambda"]),
@@ -94,6 +104,9 @@ def _torus_diag(sys: RootSystem, f: FactoredElement) -> list[RingElem]:
 def compose(sys: RootSystem, f: FactoredElement) -> GroupElement:
     """Multiply out the normal form exactly (word recorded)."""
     ring = f.ring
+    if (len(f.s), len(f.t), len(f.u)) != (sys.rank, sys.m, sys.m):
+        raise RingError(f"{sys.name} takes {sys.rank} torus and {sys.m} + {sys.m} unipotent parameters, "
+                        f"not {len(f.s)} and {len(f.t)} + {len(f.u)}")
     if not is_unit(f.lam) or not all(is_unit(x) for x in f.s):
         raise RingError("lambda and the torus parameters must be units")
     g = scalar_elem(sys, ring, f.lam)

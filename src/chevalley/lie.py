@@ -124,11 +124,13 @@ class SparseColumns:
     O(rows * nnz) cost: the first entry of each column gives M[:, dst] *
     coeff, and the remaining entries (ad x_a has several only in column
     x_-a, whose image h_a spreads over the Cartan rows) are added by one
-    small product with `fold`.  All arrays are read-only.
+    small product with `fold`.  All arrays are read-only.  `col_bound` is the
+    largest column sum of |coeff|, so an entry of M @ A is at most col_bound
+    times the largest |entry| of M.
     """
 
     __slots__ = ("n", "src", "dst", "coeff", "cols", "lead_dst", "lead_coeff",
-                 "extra_dst", "folded", "fold")
+                 "extra_dst", "folded", "fold", "col_bound")
 
     def __init__(self, n: int, entries):
         entries = sorted(e for e in entries if e[2])
@@ -154,6 +156,10 @@ class SparseColumns:
         for e, (_, c, k) in enumerate(extra):
             fold[e, k] = c
         self.fold = _frozen(fold)
+        col_sums: dict[int, int] = {}
+        for s, _, c in entries:
+            col_sums[s] = col_sums.get(s, 0) + abs(c)
+        self.col_bound = max(col_sums.values(), default=0)
 
     def right_mul(self, M: np.ndarray) -> np.ndarray:
         """Columns `cols` of M @ A over the last two axes of M, as exact

@@ -1,14 +1,20 @@
 """Square matrices over the rings in :mod:`chevalley.rings`.
 
 Storage is a numpy int64 stack of shape (depth, n, n) with canonical entries;
-multiplication dispatches to the owning ring's exact kernel, so products over
-Z/p^k, F_p[eps]/(eps^k) and extensions all reduce to a handful of integer
-matmuls.
+a dense product is the owning ring's one tensor kernel (`Ring.mat_mul`), so
+products over Z/p^k, F_p[eps]/(eps^k) and extensions are all a few integer
+matmuls reduced once.
 
 A matrix built by `Mat.diagonal` or `Mat.unipotent` records that structure as
 its factor, and a product with it on the right uses it: a diagonal scales the
-columns of the left operand, and I + sum s_k A_k (sparse integer A_k) adds
-s_k (M A_k) to the few columns A_k touches.  Every other product is dense.
+columns of the left operand (`Ring.mat_elemmul`), and I + sum s_k A_k (sparse
+integer A_k) adds s_k (M A_k) to the few columns A_k touches, as one fused
+step per term: the block becomes reduce(block + T_s (M A_k)), with T_s the
+depth x depth regular representation of s.  M A_k is left unreduced, so its
+entries are at most K (q - 1) in absolute value, K being A_k's largest column
+sum of |coefficient|; T_s (M A_k) then sums depth such products, and the step
+needs K * depth * (q - 1)^2 + q < 2^63, which it checks.  Every other product
+is dense.
 """
 
 from __future__ import annotations
@@ -24,11 +30,12 @@ class Mat:
     def __init__(self, ring: Ring, data: np.ndarray, *, reduce: bool = True, factor=None):
         self.ring = ring
         if reduce:
-            data = ring.mat_mod(data.astype(np.int64, copy=True))
+            data = ring.mat_mod(np.asarray(data, dtype=np.int64))
         self.n = data.shape[1]
         data.setflags(write=False)
         self.data = data
-        # ("diag", (depth, 1, n) stack) | ("unipotent", ((SparseColumns, (depth, 1, 1) scalar), ...))
+        # ("diag", (depth, 1, n) stack) | ("unipotent", ((SparseColumns, T_s), ...))
+        # with T_s the (depth, depth) regular representation of the scalar s
         self.factor = factor
 
     # -- constructors ----------------------------------------------------------
@@ -67,13 +74,14 @@ class Mat:
         for A, s in terms:
             if A.n != n:
                 raise RingError(f"sparse {A.n} x {A.n} term in a {n} x {n} matrix")
-            svec = np.asarray(s.vec, dtype=np.int64)[:, None, None]
-            svec.setflags(write=False)
+            svec = np.asarray(s.vec, dtype=np.int64)
             # (dst, src) pairs are distinct within one table, so each cell is
             # read and written once per term
             cells = (slice(None), A.dst, A.src)
-            data[cells] = ring.mat_mod(data[cells][:, None, :] + svec * A.coeff)[:, 0, :]
-            factor.append((A, svec))
+            data[cells] = ring.mat_mod(data[cells] + svec[:, None] * A.coeff)
+            Ts = ring.regular(svec)
+            Ts.setflags(write=False)
+            factor.append((A, Ts))
         return cls(ring, data, reduce=False, factor=("unipotent", tuple(factor)))
 
     # -- arithmetic --------------------------------------------------------------
@@ -87,13 +95,14 @@ class Mat:
         kind, parts = other.factor
         if kind == "diag":
             return Mat(ring, ring.mat_elemmul(self.data, parts), reduce=False)
-        # M (I + sum s A) = M + sum s (M A), column by column over the columns
-        # A touches; M A is reduced before the ring product with s, so every
-        # int64 product stays below q^2
+        # M (I + sum s A) = M + sum s (M A), over the columns A touches: one
+        # product with T_s and one reduction per term (bound: module docstring)
         out = self.data.copy()
-        for A, svec in parts:
-            sMA = ring.mat_elemmul(svec, ring.mat_mod(A.right_mul(self.data)))
-            out[..., A.cols] = ring.mat_mod(out[..., A.cols] + sMA)
+        shape = (ring.depth, -1)
+        for A, Ts in parts:
+            ring.check_int64(A.col_bound * ring.depth, "a generator column update", ring.q)
+            MA = A.right_mul(self.data)
+            out[..., A.cols] = ring.mat_mod(out[..., A.cols] + (Ts @ MA.reshape(shape)).reshape(MA.shape))
         return Mat(ring, out, reduce=False)
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -150,7 +159,7 @@ class Mat:
             inv = [e.inv() for e in diag]
         dvecs = np.stack([np.asarray(e.vec, dtype=np.int64) for e in diag], axis=1)
         dinv = np.stack([np.asarray(e.vec, dtype=np.int64) for e in inv], axis=1)
-        left = ring.mat_elemmul(dvecs[:, :, None], self.data)
+        left = ring.mat_elemmul(self.data, dvecs[:, :, None])
         return Mat(ring, ring.mat_elemmul(left, dinv[:, None, :]))
 
     # -- inverses ------------------------------------------------------------------

@@ -9,9 +9,24 @@ Supported ring kinds:
   (commutative with 1, generally not local)
 
 Elements are stored as fixed-length tuples of canonical integer residues, so
-equality is representational equality.  Matrices over a ring are stored as
-numpy int64 stacks of shape (depth, rows, cols), one slice per coefficient
-slot, and each ring supplies the kernels that multiply such stacks exactly.
+equality is representational equality.  Every kind is a free Z/q-module of
+rank `depth` with one modulus q for all its slots, so a kind is described by
+its integer multiplication tensor C (depth x depth x depth): slot k of a * b
+is the sum over i, j of C[k, i, j] a_i b_j, mod q.  C is the 1 x 1 x 1 one for
+zmod and gf, [i + j = k] for trunc, and for ext the base tensor with the
+products of degree m or more wrapped round by r.  A kind keeps only its
+tensor, its units and inverses, and its locality; the products are generic.
+
+Matrices over a ring are numpy int64 stacks of shape (depth, rows, cols), one
+slice per slot, and one kernel multiplies them: the right operand b becomes
+its reduced regular representation B[k, i] = sum_j C[k, i, j] b_j, and slot k
+of the product is the sum over i of a_i times B[k, i], reduced once.  Both
+factors are residues, so one entry of the product sums at most depth * n
+products below (q - 1)^2 for an inner dimension n: `Ring.mat_mul` checks
+depth * n * (q - 1)^2 < 2^63 on every call, and a ring that could not meet it
+on the largest adjoint module (n = 248, E8) is refused when it is built.
+A stack is reduced as x - (x // q) * q, which numpy runs several times
+faster than x % q (see `Ring.mat_mod`).
 """
 
 from __future__ import annotations
@@ -103,19 +118,45 @@ class RingElem:
 
 
 class Ring:
-    """Common interface; concrete kinds fill in the vector/matrix kernels."""
+    """Common interface and the generic kernels; a concrete kind supplies its
+    multiplication tensor, units, inverses and locality."""
 
     kind: str
     descriptor: str
     depth: int
-    moduli: Vec
+    q: int                  # the modulus of every slot
+    tensor: np.ndarray      # C[k, i, j], int64 residues, read-only
     local: bool
     nilpotency: int | None  # least k with J^k = 0 when local
+
+    def _set_tensor(self, tensor: np.ndarray) -> None:
+        """Record the multiplication tensor and the nonzeros the kernels loop
+        over, refusing a ring whose products could leave int64 at n = MAX_DIM."""
+        self.depth = tensor.shape[0]
+        self.check_int64(MAX_DIM * self.depth, f"products of {MAX_DIM} x {MAX_DIM} matrices")
+        C = tensor % self.q
+        C.setflags(write=False)
+        self.tensor = C
+        # (k, i, j, C[k, i, j]) for mul_vec, and per slot k the i with a
+        # nonzero C[k, i, :] for the matrix kernel; a commutative ring with 1
+        # has C[k, 0, k] = 1, so no slot's list is empty
+        self._terms = tuple(zip(*(ix.tolist() for ix in np.nonzero(C)), C[C != 0].tolist()))
+        self._support = tuple(tuple(np.flatnonzero(C[k].any(axis=1)).tolist()) for k in range(self.depth))
+
+    @property
+    def moduli(self) -> Vec:
+        return (self.q,) * self.depth
+
+    def check_int64(self, products: int, what: str, extra: int = 0) -> None:
+        """Refuse a kernel step that sums `products` products of two residues,
+        plus `extra`, when the sum could leave int64."""
+        if products * (self.q - 1) ** 2 + extra > INT64_MAX:
+            raise RingError(f"{what} over {self.descriptor} would overflow int64")
 
     # -- element constructors -------------------------------------------------
 
     def elem(self, vec: Vec) -> RingElem:
-        return RingElem(self, tuple(int(v) % m for v, m in zip(vec, self.moduli)))
+        return RingElem(self, tuple(int(v) % self.q for v in vec))
 
     def from_int(self, n: int) -> RingElem:
         vec = [0] * self.depth
@@ -143,16 +184,26 @@ class Ring:
             return self.from_int(x).vec
         raise RingError(f"cannot coerce {x!r}")
 
-    # -- vector kernels (implemented per kind) --------------------------------
+    # -- vector kernels ------------------------------------------------------
 
     def add_vec(self, a: Vec, b: Vec) -> Vec:
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
+        q = self.q
+        return tuple((x + y) % q for x, y in zip(a, b))
 
     def neg_vec(self, a: Vec) -> Vec:
-        return tuple((-x) % m for x, m in zip(a, self.moduli))
+        q = self.q
+        return tuple(-x % q for x in a)
 
     def mul_vec(self, a: Vec, b: Vec) -> Vec:
-        raise NotImplementedError
+        q = self.q
+        if self.depth == 1:
+            # C = [[[1]]] at depth 1 (1 * 1 = 1); the loop below would triple
+            # the cost of the commonest product, e.g. in EntryFormula.evaluate
+            return (a[0] * b[0] % q,)
+        out = [0] * self.depth
+        for k, i, j, c in self._terms:
+            out[k] += c * a[i] * b[j]
+        return tuple([x % q for x in out])
 
     def inv_vec(self, a: Vec) -> Vec:
         raise NotImplementedError
@@ -193,16 +244,53 @@ class Ring:
     # -- matrix kernels: data is int64 of shape (depth, r, c), canonical ------
 
     def mat_mod(self, data: np.ndarray) -> np.ndarray:
-        return data % np.asarray(self.moduli, dtype=np.int64)[:, None, None]
+        """Canonical residues of any int64 array (negative entries too), in
+        one new array.
+
+        numpy divides by a scalar several times faster than it takes `%`, so
+        a large array is reduced as data - (data // q) * q; below
+        _SMALL_ARRAY entries the three calls cost more than the one `%`.
+        """
+        if data.size < _SMALL_ARRAY:
+            return data % self.q
+        out = data // self.q
+        out *= -self.q
+        out += data
+        return out
+
+    def regular(self, b: np.ndarray) -> np.ndarray:
+        """Reduced regular representation of a (depth, ...) stack b: R of shape
+        (depth, depth, ...) with R[k, i] = sum_j C[k, i, j] b_j mod q, so that
+        slot k of x * b is sum_i x_i R[k, i]."""
+        d = self.depth
+        R = self.tensor.reshape(d * d, d) @ b.reshape(d, -1)
+        return self.mat_mod(R.reshape((d, d) + b.shape[1:]))
 
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._conv3(a, b, lambda x, y: x @ y)
+        """Matrix product of two canonical stacks."""
+        self.check_int64(self.depth * a.shape[-1], f"a product with inner dimension {a.shape[-1]}")
+        return self._contract(a, b, np.matmul, (a.shape[1], b.shape[2]))
 
     def mat_elemmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._conv3(a, b, lambda x, y: x * y)
+        """Entrywise product of two canonical stacks, broadcast as numpy does;
+        b, whose regular representation is formed, should be the smaller."""
+        return self._contract(a, b, np.multiply, np.broadcast_shapes(a.shape[1:], b.shape[1:]))
 
-    def _conv3(self, a, b, op) -> np.ndarray:
-        raise NotImplementedError
+    def _contract(self, a: np.ndarray, b: np.ndarray, op, shape) -> np.ndarray:
+        # slot k is sum_i op(a_i, R[k, i]): at most depth terms, each a sum of
+        # products of two residues, reduced once at the end.  Every term is
+        # written into one of two buffers: fresh slot-sized temporaries cost
+        # far more than the arithmetic at these sizes
+        R = self.regular(b)
+        out = np.empty((self.depth,) + shape, dtype=np.int64)
+        term = None
+        for k, idx in enumerate(self._support):
+            op(a[idx[0]], R[k, idx[0]], out=out[k])
+            for i in idx[1:]:
+                if term is None:
+                    term = np.empty(shape, dtype=np.int64)
+                out[k] += op(a[i], R[k, i], out=term)
+        return self.mat_mod(out)
 
     def lift_int_matrix(self, intmat: np.ndarray) -> np.ndarray:
         out = np.zeros((self.depth,) + intmat.shape, dtype=np.int64)
@@ -282,9 +370,14 @@ class Ring:
         return f"Ring({self.descriptor})"
 
 
-# int64 matrix products stay exact while n * (q - 1)^2 < 2^63; the adjoint
-# modules here have n <= 248, so cap the modulus well inside that bound
+INT64_MAX = 2**63 - 1
+# the largest module the kernels are sized for: the adjoint module of E8
+MAX_DIM = 248
+# the largest slot modulus; at n = MAX_DIM the bound depth * n * (q - 1)^2 <
+# 2^63 then leaves room for a depth of 14
 _MAX_MODULUS = 50_000_000
+# arrays with fewer entries are reduced by `%` (see Ring.mat_mod)
+_SMALL_ARRAY = 1024
 
 
 class ModRing(Ring):
@@ -305,13 +398,9 @@ class ModRing(Ring):
             raise RingError(f"modulus {self.q} too large for exact int64 products")
         self.kind = kind
         self.descriptor = f"gf:{p}" if kind == "gf" else f"zmod:{p}^{k}"
-        self.depth = 1
-        self.moduli = (self.q,)
+        self._set_tensor(np.ones((1, 1, 1), dtype=np.int64))
         self.local = True
         self.nilpotency = k
-
-    def mul_vec(self, a: Vec, b: Vec) -> Vec:
-        return (a[0] * b[0] % self.q,)
 
     def inv_vec(self, a: Vec) -> Vec:
         if a[0] % self.p == 0:
@@ -333,9 +422,6 @@ class ModRing(Ring):
     def residue_vec(self, a: Vec) -> RingElem:
         return self.residue_field().from_int(a[0])
 
-    def _conv3(self, a, b, op):
-        return op(a[0], b[0])[None, :, :] % self.q
-
 
 class TruncRing(Ring):
     """F_p[eps]/(eps^k): truncated polynomials, coefficients mod p."""
@@ -351,10 +437,10 @@ class TruncRing(Ring):
             raise RingError("k >= 1 required")
         if p > _MAX_MODULUS:
             raise RingError(f"modulus {p} too large for exact int64 products")
-        self.p, self.k = p, k
+        self.p, self.k, self.q = p, k, p
         self.descriptor = f"trunc:{p}:{k}"
-        self.depth = k
-        self.moduli = (p,) * k
+        i = np.arange(k)
+        self._set_tensor((i[None, :, None] + i[None, None, :] == i[:, None, None]).astype(np.int64))
         self.local = True
         self.nilpotency = k
 
@@ -364,15 +450,6 @@ class TruncRing(Ring):
         if self.k > 1:
             vec[1] = 1
         return self.elem(tuple(vec))
-
-    def mul_vec(self, a: Vec, b: Vec) -> Vec:
-        p, k = self.p, self.k
-        out = [0] * k
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(k - i):
-                    out[i + j] = (out[i + j] + ai * b[j]) % p
-        return tuple(out)
 
     def inv_vec(self, a: Vec) -> Vec:
         if a[0] % self.p == 0:
@@ -399,15 +476,6 @@ class TruncRing(Ring):
     def residue_vec(self, a: Vec) -> RingElem:
         return self.residue_field().from_int(a[0])
 
-    def _conv3(self, a, b, op):
-        k, p = self.k, self.p
-        out = np.zeros((k,) + op(a[0], b[0]).shape, dtype=np.int64)
-        for i in range(k):
-            for j in range(k - i):
-                out[i + j] += op(a[i], b[j])
-                out[i + j] %= p
-        return out
-
 
 class ExtRing(Ring):
     """base[y]/(y^m - r): free rank-m extension adjoining an m-th root of a unit r."""
@@ -424,9 +492,17 @@ class ExtRing(Ring):
         self.base = base
         self.r = r
         self.m = m
+        self.q = base.q
         self.descriptor = f"ext:{base.descriptor}:{base.format_elem(r)}:{m}"
-        self.depth = base.depth * m
-        self.moduli = base.moduli * m
+        # slot I*d + i holds base slot i of the coefficient of y^I; a product
+        # of degree I + J >= m wraps to degree I + J - m times r
+        d, Cb = base.depth, base.tensor
+        rCb = np.tensordot(base.regular(np.asarray(r.vec, dtype=np.int64)), Cb, axes=(1, 0))
+        C = np.zeros((m, d, m, d, m, d), dtype=np.int64)
+        for I in range(m):
+            for J in range(m):
+                C[(I + J) % m, :, I, :, J, :] = Cb if I + J < m else rCb
+        self._set_tensor(C.reshape(m * d, m * d, m * d))
         self.local = False
         self.nilpotency = None
 
@@ -451,20 +527,6 @@ class ExtRing(Ring):
         blocks[1] = self.base.one.vec
         return RingElem(self, self._join(blocks))
 
-    def mul_vec(self, a: Vec, b: Vec) -> Vec:
-        base, m = self.base, self.m
-        ab, bb = self._blocks(a), self._blocks(b)
-        out = [base.zero.vec for _ in range(m)]
-        rvec = self.r.vec
-        for i in range(m):
-            for j in range(m):
-                prod = base.mul_vec(ab[i], bb[j])
-                if i + j < m:
-                    out[i + j] = base.add_vec(out[i + j], prod)
-                else:
-                    out[i + j - m] = base.add_vec(out[i + j - m], base.mul_vec(rvec, prod))
-        return self._join(out)
-
     def is_unit_vec(self, a: Vec) -> bool:
         try:
             self.inv_vec(a)
@@ -488,28 +550,6 @@ class ExtRing(Ring):
         except RingError:
             raise RingError("not a unit in the extension ring") from None
         return self._join(row[0] for row in x)
-
-    def _conv3(self, a, b, op):
-        base, m, d = self.base, self.m, self.base.depth
-        shape = op(a[0], b[0]).shape
-        out = np.zeros((self.depth,) + shape, dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                prod = base._conv3(a[i * d:(i + 1) * d], b[j * d:(j + 1) * d], op)
-                if i + j < m:
-                    k = i + j
-                    out[k * d:(k + 1) * d] += prod
-                else:
-                    k = i + j - m
-                    out[k * d:(k + 1) * d] += _scale_stack(base, self.r.vec, prod)
-        return self.mat_mod(out)
-
-
-def _scale_stack(ring: Ring, svec: Vec, data: np.ndarray) -> np.ndarray:
-    """Multiply a (depth, r, c) stack over `ring` by one ring scalar."""
-    one = np.ones(data.shape[1:], dtype=np.int64)
-    svec3 = np.stack([c * one for c in svec])
-    return ring.mat_elemmul(svec3, data)
 
 
 _DESCRIPTOR_RE = re.compile(r"^(zmod|gf|trunc|ext):")

@@ -62,6 +62,14 @@ def _coo(rows, cols, vals, p: int) -> np.ndarray:
     return np.stack([rows[nz], cols[nz], vals[nz]])
 
 
+def _is_canonical(rows, cols, vals, p: int) -> bool:
+    """Whether a COO already is what `_coo` returns: (row, column) strictly
+    increasing and every value in [1, p)."""
+    dr = np.diff(rows)
+    return bool(((dr > 0) | ((dr == 0) & (np.diff(cols) > 0))).all()
+                and ((vals >= 1) & (vals < p)).all())
+
+
 def _commutator_entries(xe: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row, cell, value) triples of vec(Z xe - xe Z), row-major on both sides.
 
@@ -157,9 +165,12 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     its leading (smallest) column for as long as that column has one; then
     it becomes the pivot row of its leading column, scaled to a leading 1,
     or it has vanished.  The scan stops once every column that holds a
-    nonzero has a pivot.
+    nonzero has a pivot.  Any integer COO is accepted; one that is already
+    canonical, as the `build_*_system` matrices are, is not sorted again.
     """
-    rows, cols, vals = _coo(*matrix, p)
+    rows, cols, vals = np.asarray(matrix, dtype=np.int64)
+    if not _is_canonical(rows, cols, vals, p):
+        rows, cols, vals = _coo(rows, cols, vals, p)
     bounds = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]
     cols, vals = cols.tolist(), vals.tolist()
     full = len(set(cols))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from chevalley.decompose import (
 )
 from chevalley.group import GroupElement
 from chevalley.lie import SparseColumns, ad_x_tables, h_index, root_index, structure_constants
-from chevalley.rings import make_ring
+from chevalley.rings import RingError, make_ring
 from chevalley.roots import Root, RootSystem, add, neg, system
 from chevalley.suites import eq3_element, random_congruence_word, random_factored
 
@@ -192,6 +193,24 @@ def test_factored_element_json_round_trip():
     rng = random.Random(46)
     f = random_factored(A2, Z81, rng)
     assert FactoredElement.from_json(Z81, f.to_json()) == f
+
+
+def test_factored_element_json_is_validated():
+    good = random_factored(A2, Z81, random.Random(46)).to_json()
+    bad = [[], "f", None, {k: v for k, v in good.items() if k != "t"},
+           dict(good, s=3), dict(good, u={"0": 1}), dict(good, t="123")]
+    for obj in bad:
+        with pytest.raises(RingError):
+            FactoredElement.from_json(Z81, obj)
+
+
+def test_compose_checks_parameter_counts():
+    f = random_factored(A2, Z81, random.Random(47))
+    for field, extra in (("s", 0), ("s", 1), ("t", 0), ("t", 1), ("u", 0), ("u", 1)):
+        vals = getattr(f, field)
+        wrong = vals[:-1] if extra == 0 else vals + (Z81.zero,)
+        with pytest.raises(RingError, match="parameters"):
+            compose(A2, dataclasses.replace(f, **{field: wrong}))
 
 
 # ---------------------------------------------------------------------------

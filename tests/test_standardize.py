@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevalley import standardize
 from chevalley.decompose import compose, designated_positions
 from chevalley.group import GroupElement, graph_matrix, x_elem
 from chevalley.lie import ad_x, structure_constants, t_matrix
@@ -200,9 +201,21 @@ def sparse_integer_matrices(draw):
 @given(sparse_integer_matrices(), st.sampled_from([2, 3, 5, 7]))
 def test_sparse_rank_matches_dense_reference(M, p):
     assert rank_mod_p(coo(M), p) == dense_rank_mod_p(M, p)
-    # the rank does not depend on how the entries are listed
+    # the rank does not depend on how the entries are listed, nor on entries
+    # split into duplicates that sum to them
     perm = np.random.default_rng(0).permutation(coo(M).shape[1])
     assert rank_mod_p(coo(M)[:, perm], p) == dense_rank_mod_p(M, p)
+    rows, cols, vals = coo(M)
+    split = np.concatenate([[rows, cols, vals + p + 1], [rows, cols, -np.ones_like(vals)]], axis=1)
+    shuffle = np.random.default_rng(1).permutation(split.shape[1])
+    assert rank_mod_p(split[:, shuffle], p) == dense_rank_mod_p(M, p)
+
+
+def test_rank_does_not_sort_a_canonical_coo_again(monkeypatch):
+    lin = build_linearized_system(A2, 3)
+    rank = rank_mod_p(lin.matrix, 3)
+    monkeypatch.setattr(standardize, "_coo", lambda *args: pytest.fail("canonical COO sorted again"))
+    assert rank_mod_p(lin.matrix, 3) == rank
 
 
 def test_conjugation_defect_identity_cases():

@@ -19,7 +19,8 @@ from chevalley.roots import system
 
 # the largest prime the int64 bound n * (q - 1)^2 < 2^63 admits for n <= 248
 BIG_PRIME = max(p for p in range(_MAX_MODULUS - 100, _MAX_MODULUS + 1) if _is_prime(p))
-RINGS = ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3", f"gf:{BIG_PRIME}"]
+RINGS = ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3", "ext:trunc:3:2:1,1:2",
+         f"gf:{BIG_PRIME}"]
 SYSTEMS = ["A2", "D4", "E6"]
 
 
