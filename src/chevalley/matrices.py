@@ -13,8 +13,8 @@ step per term: the block becomes reduce(block + T_s (M A_k)), with T_s the
 depth x depth regular representation of s.  M A_k is left unreduced, so its
 entries are at most K (q - 1) in absolute value, K being A_k's largest column
 sum of |coefficient|; T_s (M A_k) then sums depth such products, and the step
-needs K * depth * (q - 1)^2 + q < 2^63, which it checks.  Every other product
-is dense.
+needs K * depth * (q - 1)^2 + q < 2^63, which `Mat.unipotent` checks for
+every term when it builds the factor.  Every other product is dense.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class Mat:
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Mat":
         data = np.zeros((ring.depth, n, n), dtype=np.int64)
-        data[0] = np.eye(n, dtype=np.int64) % ring.moduli[0]
+        data[0] = np.eye(n, dtype=np.int64) % ring.q
         return cls(ring, data, reduce=False)
 
     @classmethod
@@ -74,6 +74,7 @@ class Mat:
         for A, s in terms:
             if A.n != n:
                 raise RingError(f"sparse {A.n} x {A.n} term in a {n} x {n} matrix")
+            ring.check_int64(A.col_bound * ring.depth, "a generator column update", ring.q)
             svec = np.asarray(s.vec, dtype=np.int64)
             # (dst, src) pairs are distinct within one table, so each cell is
             # read and written once per term
@@ -100,7 +101,6 @@ class Mat:
         out = self.data.copy()
         shape = (ring.depth, -1)
         for A, Ts in parts:
-            ring.check_int64(A.col_bound * ring.depth, "a generator column update", ring.q)
             MA = A.right_mul(self.data)
             out[..., A.cols] = ring.mat_mod(out[..., A.cols] + (Ts @ MA.reshape(shape)).reshape(MA.shape))
         return Mat(ring, out, reduce=False)

@@ -143,10 +143,6 @@ class Ring:
         self._terms = tuple(zip(*(ix.tolist() for ix in np.nonzero(C)), C[C != 0].tolist()))
         self._support = tuple(tuple(np.flatnonzero(C[k].any(axis=1)).tolist()) for k in range(self.depth))
 
-    @property
-    def moduli(self) -> Vec:
-        return (self.q,) * self.depth
-
     def check_int64(self, products: int, what: str, extra: int = 0) -> None:
         """Refuse a kernel step that sums `products` products of two residues,
         plus `extra`, when the sum could leave int64."""
@@ -245,14 +241,8 @@ class Ring:
 
     def mat_mod(self, data: np.ndarray) -> np.ndarray:
         """Canonical residues of any int64 array (negative entries too), in
-        one new array.
-
-        numpy divides by a scalar several times faster than it takes `%`, so
-        a large array is reduced as data - (data // q) * q; below
-        _SMALL_ARRAY entries the three calls cost more than the one `%`.
-        """
-        if data.size < _SMALL_ARRAY:
-            return data % self.q
+        one new array, as data - (data // q) * q: numpy divides by a scalar
+        several times faster than it takes `%`."""
         out = data // self.q
         out *= -self.q
         out += data
@@ -337,16 +327,16 @@ class Ring:
         """Canonical vector of a JSON entry: an integer, which lifts into slot
         0, or a list of `depth` integers."""
         if type(obj) is int:
-            return (obj % self.moduli[0],) + (0,) * (self.depth - 1)
+            return (obj % self.q,) + (0,) * (self.depth - 1)
         if isinstance(obj, (list, tuple)) and len(obj) == self.depth and all(type(c) is int for c in obj):
-            return tuple(c % m for c, m in zip(obj, self.moduli))
+            return tuple(c % self.q for c in obj)
         raise RingError(f"bad {self.descriptor} entry {obj!r}: "
                         f"expected an integer or a list of {self.depth} integers")
 
     # -- random sampling (tests and seeded suites) ----------------------------
 
     def random_element(self, rng) -> RingElem:
-        return self.elem(tuple(rng.randrange(m) for m in self.moduli))
+        return self.elem(tuple(rng.randrange(self.q) for _ in range(self.depth)))
 
     def random_unit(self, rng) -> RingElem:
         while True:
@@ -376,8 +366,6 @@ MAX_DIM = 248
 # the largest slot modulus; at n = MAX_DIM the bound depth * n * (q - 1)^2 <
 # 2^63 then leaves room for a depth of 14
 _MAX_MODULUS = 50_000_000
-# arrays with fewer entries are reduced by `%` (see Ring.mat_mod)
-_SMALL_ARRAY = 1024
 
 
 class ModRing(Ring):
@@ -535,14 +523,13 @@ class ExtRing(Ring):
             return False
 
     def inv_vec(self, a: Vec) -> Vec:
-        # a x = 1 is m linear equations over the base: column j of the matrix
-        # of multiplication by a holds the blocks of a y^j, and multiplying
-        # by y moves each block up one place and wraps the last round by r
-        base = self.base
-        cols = [self._blocks(a)]
-        for _ in range(self.m - 1):
-            prev = cols[-1]
-            cols.append([base.mul_vec(self.r.vec, prev[-1])] + prev[:-1])
+        # a x = 1 is m linear equations over the base: column J of the matrix
+        # of multiplication by a holds the blocks of a y^J
+        base, y = self.base, self.gen.vec
+        cols, col = [], a
+        for _ in range(self.m):
+            cols.append(self._blocks(col))
+            col = self.mul_vec(col, y)
         A = [list(row) for row in zip(*cols)]
         rhs = [[base.one.vec]] + [[base.zero.vec]] * (self.m - 1)
         try:

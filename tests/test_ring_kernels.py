@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from chevalley.group import x_elem
 from chevalley.lie import SparseColumns, ad_x_tables, structure_constants
 from chevalley.matrices import Mat
-from chevalley.rings import (_MAX_MODULUS, _SMALL_ARRAY, INT64_MAX, MAX_DIM, RingError,
-                             _is_prime, make_ring)
+from chevalley.rings import _MAX_MODULUS, INT64_MAX, MAX_DIM, RingError, _is_prime, make_ring
 from chevalley.roots import system
 
 BIG_PRIME = max(p for p in range(_MAX_MODULUS - 100, _MAX_MODULUS + 1) if _is_prime(p))
@@ -37,6 +36,8 @@ class Reference:
 
     def __init__(self, ring):
         self.ring = ring
+        # the per-slot moduli the old kernels read
+        self.moduli = (ring.q,) * ring.depth
 
     def __getattr__(self, name):
         return getattr(self.ring, name)
@@ -220,12 +221,11 @@ def test_diagonal_product_matches_reference(args):
 
 
 @pytest.mark.parametrize("desc", RINGS)
-def test_mat_mod_on_both_sides_of_the_size_switch(desc):
+def test_mat_mod_reduces_negative_and_large_entries(desc):
     ring = make_ring(desc)
-    gen = np.random.default_rng(3)
-    for size in (1, _SMALL_ARRAY - 1, _SMALL_ARRAY, 4 * _SMALL_ARRAY):
-        x = gen.integers(-INT64_MAX // 2, INT64_MAX // 2, size)
-        assert np.array_equal(ring.mat_mod(x), np.array([int(v) % ring.q for v in x]))
+    x = np.random.default_rng(3).integers(-INT64_MAX // 2, INT64_MAX // 2, (ring.depth, 5, 7))
+    x[:, 0, :3] = (-ring.q, -1, ring.q)
+    assert np.array_equal(ring.mat_mod(x), np.vectorize(lambda v: int(v) % ring.q)(x))
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +256,8 @@ def test_generator_update_refuses_a_table_past_the_bound():
     ring = make_ring(f"gf:{BIG_PRIME}")
     K = INT64_MAX // (BIG_PRIME - 1) ** 2 + 1
     M = Mat.identity(ring, 2)
-    big = Mat.unipotent(ring, 2, ((SparseColumns(2, [(0, 1, K)]), ring.one),))
     with pytest.raises(RingError, match="overflow int64"):
-        M @ big
+        Mat.unipotent(ring, 2, ((SparseColumns(2, [(0, 1, K)]), ring.one),))
     split = SparseColumns(2, [(0, 1, K // 2)])
     assert split.col_bound == K // 2
     assert (M @ Mat.unipotent(ring, 2, ((split, ring.one),))).get(1, 0) == ring.from_int(K // 2)

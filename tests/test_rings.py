@@ -70,7 +70,7 @@ def _all_vecs(ring):
             yield ()
             return
         for rest in rec(i + 1):
-            for v in range(ring.moduli[i]):
+            for v in range(ring.q):
                 yield (v,) + rest
 
     yield from rec(0)
@@ -229,7 +229,7 @@ def _unit_by_search(ring, x) -> bool:
     else:
         bar, xbar = ring.residue_field(), ring.residue_vec(x.vec).vec
     return any(bar.mul_vec(xbar, z) == bar.one.vec
-               for z in product(range(bar.moduli[0]), repeat=bar.depth))
+               for z in product(range(bar.q), repeat=bar.depth))
 
 
 @settings(max_examples=120, deadline=None)

@@ -26,7 +26,7 @@ SYSTEMS = ["A2", "D4", "E6"]
 
 def random_mat(ring, n, seed) -> Mat:
     gen = np.random.default_rng(seed)
-    data = np.stack([gen.integers(0, m, (n, n)) for m in ring.moduli])
+    data = np.stack([gen.integers(0, ring.q, (n, n)) for _ in range(ring.depth)])
     return Mat(ring, data, reduce=False)
 
 
@@ -69,7 +69,7 @@ def test_extreme_entries_stay_exact(desc):
     # every entry q - 1 and t = -1: the largest int64 intermediates the
     # structured path forms
     sys, ring = system("E6"), make_ring(desc)
-    M = Mat(ring, np.stack([np.full((sys.n, sys.n), m - 1) for m in ring.moduli]), reduce=False)
+    M = Mat(ring, np.stack([np.full((sys.n, sys.n), ring.q - 1) for _ in range(ring.depth)]), reduce=False)
     minus_one = -ring.one
     for root in (sys.maximal, sys.simple[0], tuple(-c for c in sys.maximal)):
         X = x_elem(sys, ring, root, minus_one).mat
