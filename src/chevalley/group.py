@@ -8,13 +8,14 @@ out to the matrix.  Words make inverses cheap and serialize to JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .lie import StructureConstants, ad_x, ad_x_tables, h_index, root_index
 from .matrices import Mat
 from .rings import Ring, RingElem, RingError
-from .roots import Root, RootSystem, add, height, neg, sub
+from .roots import Root, RootSystem, add, build_root_system, height, neg, sub
 
 Factor = tuple  # ("x", root, t) | ("h", values) | ("scalar", lam) | ("perm", name, data)
 
@@ -164,20 +165,30 @@ class Character:
         return out
 
 
+@lru_cache(maxsize=None)
+def _root_splits(kind: str, rank: int) -> dict[Root, tuple[Root, int]]:
+    """p -> (q, i) with p = q + a_i and q a root, for every non-simple
+    positive root p; it depends only on the system."""
+    sys = build_root_system(kind, rank)
+    return {p: next((sub(p, s), i) for i, s in enumerate(sys.simple) if p[i] and sys.is_root(sub(p, s)))
+            for p in sys.positive if p not in sys.simple}
+
+
 def _char_mat(sys: RootSystem, ring: Ring, values: tuple[RingElem, ...]) -> Mat:
     """chi(p) at 2k and chi(p)^-1 at 2k + 1 for the k-th positive root p, and
     1 on the Cartan rows.
 
     sys.positive runs by height, so every non-simple root is an earlier root
-    plus a simple root a_i, and its pair is that root's pair times
-    (chi(a_i), chi(a_i)^-1): the l simple values are inverted once and each
-    further root costs two products.
+    plus a simple root a_i (`_root_splits`), and its pair is that root's pair
+    times (chi(a_i), chi(a_i)^-1): the l simple values are inverted once and
+    each further root costs two products.
     """
+    splits = _root_splits(sys.kind, sys.rank)
     pairs = {s: (v, v.inv()) for s, v in zip(sys.simple, values)}
     diag = []
     for p in sys.positive:
         if p not in pairs:
-            i, q = next((i, sub(p, s)) for i, s in enumerate(sys.simple) if p[i] and sys.is_root(sub(p, s)))
+            q, i = splits[p]
             (v, w), (vi, wi) = pairs[q], pairs[sys.simple[i]]
             pairs[p] = (v * vi, w * wi)
         diag += pairs[p]

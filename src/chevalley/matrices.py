@@ -15,13 +15,17 @@ entries are at most K (q - 1) in absolute value, K being A_k's largest column
 sum of |coefficient|; T_s (M A_k) then sums depth such products, and the step
 needs K * depth * (q - 1)^2 + q < 2^63, which `Mat.unipotent` checks for
 every term when it builds the factor.  Every other product is dense.
+
+`Mat.inv` works on every ring kind, extensions included: it solves the
+(depth n) x (depth n) matrix of X -> M X over Z/q with `rings.solve_mod`, and
+raises RingError exactly when M is singular.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rings import Ring, RingElem, RingError
+from .rings import Ring, RingElem, RingError, solve_mod
 
 
 class Mat:
@@ -165,12 +169,17 @@ class Mat:
     # -- inverses ------------------------------------------------------------------
 
     def inv(self) -> "Mat":
-        """Exact inverse by `Ring.solve` on unit pivots (local-ring safe)."""
-        ring, n = self.ring, self.n
-        vecs = [list(map(tuple, row)) for row in self.data.transpose(1, 2, 0).tolist()]
-        eye = [[ring.one.vec if i == j else ring.zero.vec for j in range(n)] for i in range(n)]
-        data = np.array(ring.solve(vecs, eye), dtype=np.int64).reshape(n, n, ring.depth)
-        return Mat(ring, np.ascontiguousarray(data.transpose(2, 0, 1)), reduce=False)
+        """Exact inverse over any ring kind, or RingError when there is none.
+
+        M X = I is (depth n)^2 linear equations over Z/q: slot k of M[r, s] x
+        is sum_i x_i R[k, i, r, s] for the regular representation R of M's
+        entries, so row (k, r) and column (i, s) of their matrix hold
+        R[k, i, r, s], and `solve_mod` solves it against the slot-0 identity.
+        """
+        ring, n, d = self.ring, self.n, self.ring.depth
+        A = ring.regular(self.data).transpose(0, 2, 1, 3).reshape(d * n, d * n)
+        X = solve_mod(A.tolist(), np.eye(d * n, n, dtype=np.int64).tolist(), ring.q, ring.p)
+        return Mat(ring, np.array(X, dtype=np.int64).reshape(d, n, n), reduce=False)
 
     def neumann_inv(self) -> "Mat":
         """Inverse of I - N with nilpotent N; valid when self = I mod radical."""

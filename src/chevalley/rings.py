@@ -15,7 +15,7 @@ its integer multiplication tensor C (depth x depth x depth): slot k of a * b
 is the sum over i, j of C[k, i, j] a_i b_j, mod q.  C is the 1 x 1 x 1 one for
 zmod and gf, [i + j = k] for trunc, and for ext the base tensor with the
 products of degree m or more wrapped round by r.  A kind keeps only its
-tensor, its units and inverses, and its locality; the products are generic.
+tensor and its locality; the products and inverses are generic.
 
 Matrices over a ring are numpy int64 stacks of shape (depth, rows, cols), one
 slice per slot, and one kernel multiplies them: the right operand b becomes
@@ -27,6 +27,14 @@ depth * n * (q - 1)^2 < 2^63 on every call, and a ring that could not meet it
 on the largest adjoint module (n = 248, E8) is refused when it is built.
 A stack is reduced as x - (x // q) * q, which numpy runs several times
 faster than x % q (see `Ring.mat_mod`).
+
+Every inverse is one elimination over Z/q.  Z/q is local, so `solve_mod`
+(Gauss-Jordan on Python ints) may pivot on any entry prime to p, and it finds
+a pivot in every column exactly when the matrix is invertible.  An element a
+is inverted by solving its depth x depth regular representation against
+e_0, and a matrix M over any kind by solving the (depth n) x (depth n) matrix
+of X -> M X (`Mat.inv`); an extension, which is not local, is inverted the
+same way, because the Z/q-linear map is invertible exactly when M is.
 """
 
 from __future__ import annotations
@@ -65,6 +73,39 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def solve_mod(A: list[list[int]], B: list[list[int]], q: int, p: int) -> list[list[int]]:
+    """X with A X = B over Z/q, q a power of the prime p, by Gauss-Jordan
+    elimination on unit pivots.
+
+    A is n x n and B is n x k, both lists of rows of integers.  Z/q is local:
+    a pivot is any entry x with x % p != 0, and a column with none on or below
+    the diagonal means A is singular, which raises RingError.
+    """
+    n = len(A)
+    rows = [[x % q for x in a + b] for a, b in zip(A, B)]
+    width = len(rows[0])
+    for c in range(n):
+        for piv in range(c, n):
+            if rows[piv][c] % p:
+                break
+        else:
+            raise RingError(f"singular modulo {q}: no unit pivot in column {c}")
+        top = rows[piv]
+        rows[piv] = rows[c]
+        rows[c] = top
+        # columns up to c are final: only the nonzeros beyond c are carried
+        f = pow(top[c], -1, q)
+        live = [(j, top[j] * f % q) for j in range(c + 1, width) if top[j]]
+        for j, x in live:
+            top[j] = x
+        for row in rows:
+            g = row[c]
+            if g and row is not top:
+                for j, x in live:
+                    row[j] = (row[j] - g * x) % q
+    return [row[n:] for row in rows]
 
 
 class RingElem:
@@ -119,21 +160,28 @@ class RingElem:
 
 class Ring:
     """Common interface and the generic kernels; a concrete kind supplies its
-    multiplication tensor, units, inverses and locality."""
+    multiplication tensor and its locality."""
 
     kind: str
     descriptor: str
     depth: int
+    p: int                  # the prime with q = p^e
     q: int                  # the modulus of every slot
     tensor: np.ndarray      # C[k, i, j], int64 residues, read-only
     local: bool
     nilpotency: int | None  # least k with J^k = 0 when local
 
+    def _check_depth(self, depth: int) -> None:
+        """Refuse, before any array is built, a ring deeper than MAX_DEPTH or
+        one whose products could leave int64 at n = MAX_DIM."""
+        if depth > MAX_DEPTH:
+            raise RingError(f"{self.descriptor} has {depth} slots; at most {MAX_DEPTH} are supported")
+        self.check_int64(MAX_DIM * depth, f"products of {MAX_DIM} x {MAX_DIM} matrices")
+
     def _set_tensor(self, tensor: np.ndarray) -> None:
         """Record the multiplication tensor and the nonzeros the kernels loop
-        over, refusing a ring whose products could leave int64 at n = MAX_DIM."""
+        over."""
         self.depth = tensor.shape[0]
-        self.check_int64(MAX_DIM * self.depth, f"products of {MAX_DIM} x {MAX_DIM} matrices")
         C = tensor % self.q
         C.setflags(write=False)
         self.tensor = C
@@ -202,40 +250,30 @@ class Ring:
         return tuple([x % q for x in out])
 
     def inv_vec(self, a: Vec) -> Vec:
-        raise NotImplementedError
+        """x with a x = 1: slot k of x a is sum_i x_i R[k, i] for the regular
+        representation R of a, so x solves R x = e_0 by `solve_mod`."""
+        if not any(a[1:]):
+            # a scalar of Z/q, as every element is at depth 1, has R = a_0 I:
+            # the commonest inverse, as mul_vec's shortcut is the commonest product
+            if a[0] % self.p == 0:
+                raise RingError(f"{a[0]} is not a unit in {self.descriptor}")
+            return (pow(a[0], -1, self.q),) + a[1:]
+        d = self.depth
+        R = [[0] * d for _ in range(d)]
+        for k, i, j, c in self._terms:
+            R[k][i] += c * a[j]
+        try:
+            x = solve_mod(R, [[1]] + [[0]] * (d - 1), self.q, self.p)
+        except RingError:
+            raise RingError(f"{a} is not a unit in {self.descriptor}") from None
+        return tuple(row[0] for row in x)
 
     def is_unit_vec(self, a: Vec) -> bool:
-        raise NotImplementedError
-
-    def solve(self, A: list[list[Vec]], B: list[list[Vec]]) -> list[list[Vec]]:
-        """X with A X = B, by Gauss-Jordan elimination on unit pivots.
-
-        A is n x n and B is n x k, both lists of rows of canonical vectors.
-        Over a local ring this succeeds exactly when A is invertible; a column
-        with no unit on or below the diagonal raises RingError.
-        """
-        n = len(A)
-        mul, add, zero = self.mul_vec, self.add_vec, self.zero.vec
-        rows = [list(a) + list(b) for a, b in zip(A, B)]
-        width = len(rows[0])
-        for c in range(n):
-            piv = next((r for r in range(c, n) if self.is_unit_vec(rows[r][c])), None)
-            if piv is None:
-                raise RingError(f"no unit pivot in column {c} over {self.descriptor}")
-            rows[c], rows[piv] = rows[piv], rows[c]
-            top = rows[c]
-            # columns up to c are final: only columns beyond c are updated
-            f = self.inv_vec(top[c])
-            for j in range(c + 1, width):
-                if top[j] != zero:
-                    top[j] = mul(f, top[j])
-            for r, row in enumerate(rows):
-                if r != c and row[c] != zero:
-                    g = self.neg_vec(row[c])
-                    for j in range(c + 1, width):
-                        if top[j] != zero:
-                            row[j] = add(row[j], mul(g, top[j]))
-        return [row[n:] for row in rows]
+        try:
+            self.inv_vec(a)
+            return True
+        except RingError:
+            return False
 
     # -- matrix kernels: data is int64 of shape (depth, r, c), canonical ------
 
@@ -366,34 +404,43 @@ MAX_DIM = 248
 # the largest slot modulus; at n = MAX_DIM the bound depth * n * (q - 1)^2 <
 # 2^63 then leaves room for a depth of 14
 _MAX_MODULUS = 50_000_000
+# the most slots a ring may have, checked before the ring builds its
+# multiplication tensor, which holds depth^3 int64 (2 MiB at 64)
+MAX_DEPTH = 64
 
 
-class ModRing(Ring):
-    """Z/p^k (kind 'zmod'), or its k = 1 field flavour (kind 'gf')."""
+class LocalRing(Ring):
+    """Z/p^k (kind 'zmod'), its k = 1 field flavour F_p (kind 'gf'), or
+    F_p[eps]/(eps^k) (kind 'trunc').  Each is local with residue field F_p:
+    a is a unit iff its slot 0 is prime to p, and the radical J is generated
+    by `eps`, which is p for zmod and gf and eps for trunc, with J^k = 0."""
 
     def __init__(self, p: int, k: int, kind: str):
         if p == 2:
             raise RingError("p = 2 rejected: the ring has no 1/2")
-        if not _is_prime(p):
-            raise RingError(f"{p} is not prime")
         if k < 1:
             raise RingError("k >= 1 required")
         if kind == "gf" and k != 1:
             raise RingError("gf takes a single prime")
-        self.p, self.k = p, k
-        self.q = p**k
-        if self.q > _MAX_MODULUS:
-            raise RingError(f"modulus {self.q} too large for exact int64 products")
-        self.kind = kind
-        self.descriptor = f"gf:{p}" if kind == "gf" else f"zmod:{p}^{k}"
-        self._set_tensor(np.ones((1, 1, 1), dtype=np.int64))
+        # trunc has k slots mod p, zmod and gf one slot mod p^k; p^k >= 2^k,
+        # so a k past the cap's bit length is refused before p^k is formed
+        depth, e = (k, 1) if kind == "trunc" else (1, k)
+        if e > _MAX_MODULUS.bit_length() or p**e > _MAX_MODULUS:
+            raise RingError(f"modulus {p}^{e} too large for exact int64 products")
+        if not _is_prime(p):
+            raise RingError(f"{p} is not prime")
+        self.kind, self.p, self.k, self.q = kind, p, k, p**e
+        self.descriptor = {"zmod": f"zmod:{p}^{k}", "gf": f"gf:{p}", "trunc": f"trunc:{p}:{k}"}[kind]
+        self._check_depth(depth)
+        if kind == "trunc":
+            i = np.arange(k)
+            self._set_tensor((i[None, :, None] + i[None, None, :] == i[:, None, None]).astype(np.int64))
+            self.eps = self.elem(tuple(int(s == 1) for s in range(k)))
+        else:
+            self._set_tensor(np.ones((1, 1, 1), dtype=np.int64))
+            self.eps = self.from_int(p)
         self.local = True
         self.nilpotency = k
-
-    def inv_vec(self, a: Vec) -> Vec:
-        if a[0] % self.p == 0:
-            raise RingError(f"{a[0]} is not a unit in {self.descriptor}")
-        return (pow(a[0], -1, self.q),)
 
     def is_unit_vec(self, a: Vec) -> bool:
         return a[0] % self.p != 0
@@ -403,60 +450,6 @@ class ModRing(Ring):
 
     def mat_radical_all(self, data: np.ndarray) -> bool:
         return bool((data[0] % self.p == 0).all())
-
-    def residue_field(self) -> Ring:
-        return make_ring(f"gf:{self.p}")
-
-    def residue_vec(self, a: Vec) -> RingElem:
-        return self.residue_field().from_int(a[0])
-
-
-class TruncRing(Ring):
-    """F_p[eps]/(eps^k): truncated polynomials, coefficients mod p."""
-
-    kind = "trunc"
-
-    def __init__(self, p: int, k: int):
-        if p == 2:
-            raise RingError("p = 2 rejected: the ring has no 1/2")
-        if not _is_prime(p):
-            raise RingError(f"{p} is not prime")
-        if k < 1:
-            raise RingError("k >= 1 required")
-        if p > _MAX_MODULUS:
-            raise RingError(f"modulus {p} too large for exact int64 products")
-        self.p, self.k, self.q = p, k, p
-        self.descriptor = f"trunc:{p}:{k}"
-        i = np.arange(k)
-        self._set_tensor((i[None, :, None] + i[None, None, :] == i[:, None, None]).astype(np.int64))
-        self.local = True
-        self.nilpotency = k
-
-    @property
-    def eps(self) -> RingElem:
-        vec = [0] * self.k
-        if self.k > 1:
-            vec[1] = 1
-        return self.elem(tuple(vec))
-
-    def inv_vec(self, a: Vec) -> Vec:
-        if a[0] % self.p == 0:
-            raise RingError(f"{a} is not a unit in {self.descriptor}")
-        p, k = self.p, self.k
-        b = [pow(a[0], -1, p)] + [0] * (k - 1)
-        for d in range(1, k):
-            acc = sum(a[i] * b[d - i] for i in range(1, d + 1)) % p
-            b[d] = (-b[0] * acc) % p
-        return tuple(b)
-
-    def is_unit_vec(self, a: Vec) -> bool:
-        return a[0] % self.p != 0
-
-    def radical_vec(self, a: Vec) -> bool:
-        return a[0] % self.p == 0
-
-    def mat_radical_all(self, data: np.ndarray) -> bool:
-        return bool((data[0] == 0).all())
 
     def residue_field(self) -> Ring:
         return make_ring(f"gf:{self.p}")
@@ -480,8 +473,9 @@ class ExtRing(Ring):
         self.base = base
         self.r = r
         self.m = m
-        self.q = base.q
+        self.p, self.q = base.p, base.q
         self.descriptor = f"ext:{base.descriptor}:{base.format_elem(r)}:{m}"
+        self._check_depth(m * base.depth)
         # slot I*d + i holds base slot i of the coefficient of y^I; a product
         # of degree I + J >= m wraps to degree I + J - m times r
         d, Cb = base.depth, base.tensor
@@ -495,10 +489,6 @@ class ExtRing(Ring):
         self.nilpotency = None
 
     # block i of an element vector is the base coefficient of y^i
-    def _blocks(self, a: Vec) -> list[Vec]:
-        d = self.base.depth
-        return [a[i * d:(i + 1) * d] for i in range(self.m)]
-
     def _join(self, blocks) -> Vec:
         return tuple(c for blk in blocks for c in blk)
 
@@ -514,29 +504,6 @@ class ExtRing(Ring):
         blocks = [zero] * self.m
         blocks[1] = self.base.one.vec
         return RingElem(self, self._join(blocks))
-
-    def is_unit_vec(self, a: Vec) -> bool:
-        try:
-            self.inv_vec(a)
-            return True
-        except RingError:
-            return False
-
-    def inv_vec(self, a: Vec) -> Vec:
-        # a x = 1 is m linear equations over the base: column J of the matrix
-        # of multiplication by a holds the blocks of a y^J
-        base, y = self.base, self.gen.vec
-        cols, col = [], a
-        for _ in range(self.m):
-            cols.append(self._blocks(col))
-            col = self.mul_vec(col, y)
-        A = [list(row) for row in zip(*cols)]
-        rhs = [[base.one.vec]] + [[base.zero.vec]] * (self.m - 1)
-        try:
-            x = base.solve(A, rhs)
-        except RingError:
-            raise RingError("not a unit in the extension ring") from None
-        return self._join(row[0] for row in x)
 
 
 _DESCRIPTOR_RE = re.compile(r"^(zmod|gf|trunc|ext):")
@@ -555,12 +522,12 @@ def make_ring(descriptor: str) -> Ring:
             raise RingError(f"bad zmod descriptor {descriptor!r}")
         p = int(mobj.group(1))
         k = int(mobj.group(2)) if mobj.lastindex == 2 else 1
-        return ModRing(p, k, "zmod")
+        return LocalRing(p, k, "zmod")
     if kind == "gf":
-        return ModRing(int(rest), 1, "gf")
+        return LocalRing(int(rest), 1, "gf")
     if kind == "trunc":
         p, k = rest.split(":")
-        return TruncRing(int(p), int(k))
+        return LocalRing(int(p), int(k), "trunc")
     # ext:<base>:<r>:<m> -- the base descriptor may itself contain colons
     parts = rest.rsplit(":", 2)
     if len(parts) != 3:

@@ -268,14 +268,11 @@ def eq3_element(sys: RootSystem, ring: Ring, rng) -> GroupElement:
 def suite_certificate(system_token: str, ring_desc: str, count: int = 100, seed: int = 0) -> dict:
     sys = system(system_token)
     ring = make_ring(ring_desc)
-    if ring.kind == "zmod":
-        j = ring.from_int(ring.p ** (ring.k - 1))
-    elif ring.kind == "trunc":
-        j = ring.eps ** (ring.k - 1)
-    else:
+    if ring.kind not in ("zmod", "trunc"):
         raise ValueError("certificate suite runs over zmod or trunc rings")
     if ring.nilpotency < 2:
         raise ValueError("certificate suite needs a nonzero radical (k >= 2)")
+    j = ring.eps ** (ring.k - 1)    # a nonzero element of J^(k - 1), so j J = 0
     rng = random.Random(seed)
     failures, total = [], 0
     for i in range(count):

@@ -1,7 +1,10 @@
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevalley.cli import main
 from chevalley.decompose import compose
@@ -11,8 +14,6 @@ from chevalley.suites import random_factored
 
 
 def run_cli(argv):
-    import contextlib
-
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -207,6 +208,48 @@ def test_decompose_malformed_matrix_exits_two(mangle, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "matmul" not in err
+
+
+@pytest.mark.parametrize("desc", ["trunc:3:100000", "ext:gf:3:1:100000"])
+def test_oversized_ring_is_refused_before_allocating(desc, capsys):
+    # the multiplication tensors would need 8 * 10^15 bytes
+    code, out = run_cli(["verify", "lemma2", "--system", "A2", "--ring", desc])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_FIELD = st.sampled_from(["0", "1", "2", "3", "4", "5", "9", "25", "1,1", "-3", "x", "", "3.5",
+                          "100000", "10" * 12, "3" * 30])
+_BASE = st.sampled_from(["zmod:5^2", "gf:3", "trunc:3:2", "ext:gf:3:1:2", "gf:4", "zmod:2", "trunc:3"])
+_DESCRIPTOR = st.one_of(
+    st.builds("zmod:{}^{}".format, _FIELD, _FIELD),
+    st.builds("zmod:{}".format, _FIELD),
+    st.builds("gf:{}".format, _FIELD),
+    st.builds("trunc:{}:{}".format, _FIELD, _FIELD),
+    st.builds("trunc:{}".format, _FIELD),
+    st.builds("ext:{}:{}:{}".format, _BASE, _FIELD, _FIELD),
+    st.builds("ext:{}:{}".format, _BASE, _FIELD),
+    st.text(alphabet="zmodgftrunex:^,0123456789 -\n", max_size=16).filter(lambda t: not t.startswith("-")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DESCRIPTOR)
+def test_ring_descriptor_fuzz_exits_cleanly(desc):
+    """Missing fields, non-integers, p = 2, composite p, k = 0, huge k or m
+    and nested extensions: no traceback, and exit 2 is one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "lemma2", "--system", "A2", "--ring", desc, "--count", "1"])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert json.loads(out.getvalue())["ring"]
 
 
 # Golden stdout: the SHA-256 of every verb's output on A2 and D4, recorded

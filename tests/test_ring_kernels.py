@@ -2,13 +2,19 @@
 
 Every ring kind now multiplies through its multiplication tensor: one generic
 `mul_vec`, `mat_mul` and `mat_elemmul` on `Ring`, and one fused column update
-per generator term in `Mat.__matmul__`.  The references below are the
-per-kind kernels these replaced, kept verbatim: `ModRing._conv3`,
-`TruncRing._conv3` and `mul_vec`, `ExtRing._conv3` and `mul_vec`,
-`_scale_stack`, the slotwise `Ring.mat_mod`, and the generator update that
-reduced three times per term.  Only `self` became the reference object that
-wraps a ring.  Also here: the int64 bounds the kernels rely on.
+per generator term in `Mat.__matmul__`.  Every inverse is one elimination
+over Z/q, `solve_mod`, behind the generic `Ring.inv_vec` and `Mat.inv`.  The
+references below are the per-kind kernels these replaced, kept verbatim:
+`ModRing._conv3` and `inv_vec`, `TruncRing._conv3`, `mul_vec` and `inv_vec`,
+`ExtRing._conv3`, `mul_vec`, `_blocks`, `is_unit_vec` and `inv_vec`,
+`_scale_stack`, the slotwise `Ring.mat_mod`, `Ring.solve` on ring-valued
+tuples, the `Mat.inv` built on it, and the generator update that reduced
+three times per term.  Only `self` became the reference object that wraps a
+ring.  Also here: the int64 bounds the kernels rely on.
 """
+
+import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -18,12 +24,13 @@ from hypothesis import strategies as st
 from chevalley.group import x_elem
 from chevalley.lie import SparseColumns, ad_x_tables, structure_constants
 from chevalley.matrices import Mat
-from chevalley.rings import _MAX_MODULUS, INT64_MAX, MAX_DIM, RingError, _is_prime, make_ring
+from chevalley.rings import _MAX_MODULUS, INT64_MAX, MAX_DIM, RingError, _is_prime, make_ring, solve_mod
 from chevalley.roots import system
 
 BIG_PRIME = max(p for p in range(_MAX_MODULUS - 100, _MAX_MODULUS + 1) if _is_prime(p))
 RINGS = ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3", "ext:trunc:3:2:1,1:2",
          f"gf:{BIG_PRIME}"]
+INVERSE_RINGS = RINGS[:5]
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +61,45 @@ class Reference:
     def mat_elemmul(self, a, b):
         return self._conv3(a, b, lambda x, y: x * y)
 
+    def solve(self, A, B):
+        """X with A X = B, by Gauss-Jordan elimination on unit pivots.
+
+        A is n x n and B is n x k, both lists of rows of canonical vectors.
+        Over a local ring this succeeds exactly when A is invertible; a column
+        with no unit on or below the diagonal raises RingError.
+        """
+        n = len(A)
+        mul, add, zero = self.mul_vec, self.add_vec, self.zero.vec
+        rows = [list(a) + list(b) for a, b in zip(A, B)]
+        width = len(rows[0])
+        for c in range(n):
+            piv = next((r for r in range(c, n) if self.is_unit_vec(rows[r][c])), None)
+            if piv is None:
+                raise RingError(f"no unit pivot in column {c} over {self.descriptor}")
+            rows[c], rows[piv] = rows[piv], rows[c]
+            top = rows[c]
+            # columns up to c are final: only columns beyond c are updated
+            f = self.inv_vec(top[c])
+            for j in range(c + 1, width):
+                if top[j] != zero:
+                    top[j] = mul(f, top[j])
+            for r, row in enumerate(rows):
+                if r != c and row[c] != zero:
+                    g = self.neg_vec(row[c])
+                    for j in range(c + 1, width):
+                        if top[j] != zero:
+                            row[j] = add(row[j], mul(g, top[j]))
+        return [row[n:] for row in rows]
+
 
 class ModReference(Reference):
     def mul_vec(self, a, b):
         return (a[0] * b[0] % self.q,)
+
+    def inv_vec(self, a):
+        if a[0] % self.p == 0:
+            raise RingError(f"{a[0]} is not a unit in {self.descriptor}")
+        return (pow(a[0], -1, self.q),)
 
     def _conv3(self, a, b, op):
         return op(a[0], b[0])[None, :, :] % self.q
@@ -81,6 +123,16 @@ class TruncReference(Reference):
                 out[i + j] += op(a[i], b[j])
                 out[i + j] %= p
         return out
+
+    def inv_vec(self, a):
+        if a[0] % self.p == 0:
+            raise RingError(f"{a} is not a unit in {self.descriptor}")
+        p, k = self.p, self.k
+        b = [pow(a[0], -1, p)] + [0] * (k - 1)
+        for d in range(1, k):
+            acc = sum(a[i] * b[d - i] for i in range(1, d + 1)) % p
+            b[d] = (-b[0] * acc) % p
+        return tuple(b)
 
 
 class ExtReference(Reference):
@@ -117,6 +169,33 @@ class ExtReference(Reference):
                     out[k * d:(k + 1) * d] += _scale_stack(base, self.r.vec, prod)
         return self.mat_mod(out)
 
+    def _blocks(self, a):
+        d = self.base.depth
+        return [a[i * d:(i + 1) * d] for i in range(self.m)]
+
+    def is_unit_vec(self, a):
+        try:
+            self.inv_vec(a)
+            return True
+        except RingError:
+            return False
+
+    def inv_vec(self, a):
+        # a x = 1 is m linear equations over the base: column J of the matrix
+        # of multiplication by a holds the blocks of a y^J
+        base, y = self.base, self.gen.vec
+        cols, col = [], a
+        for _ in range(self.m):
+            cols.append(self._blocks(col))
+            col = self.mul_vec(col, y)
+        A = [list(row) for row in zip(*cols)]
+        rhs = [[base.one.vec]] + [[base.zero.vec]] * (self.m - 1)
+        try:
+            x = base.solve(A, rhs)
+        except RingError:
+            raise RingError("not a unit in the extension ring") from None
+        return self._join(row[0] for row in x)
+
 
 def _scale_stack(ring, svec, data):
     """Multiply a (depth, r, c) stack over `ring` by one ring scalar."""
@@ -128,6 +207,15 @@ def _scale_stack(ring, svec, data):
 def reference(ring) -> Reference:
     return {"zmod": ModReference, "gf": ModReference, "trunc": TruncReference,
             "ext": ExtReference}[ring.kind](ring)
+
+
+def reference_mat_inv(ref, data):
+    """The inverse of the (depth, n, n) stack `data` by `Ring.solve`."""
+    ring, n = ref, data.shape[1]
+    vecs = [list(map(tuple, row)) for row in data.transpose(1, 2, 0).tolist()]
+    eye = [[ring.one.vec if i == j else ring.zero.vec for j in range(n)] for i in range(n)]
+    data = np.array(ring.solve(vecs, eye), dtype=np.int64).reshape(n, n, ring.depth)
+    return np.ascontiguousarray(data.transpose(2, 0, 1))
 
 
 def reference_generator_product(ref, M, terms):
@@ -226,6 +314,106 @@ def test_mat_mod_reduces_negative_and_large_entries(desc):
     x = np.random.default_rng(3).integers(-INT64_MAX // 2, INT64_MAX // 2, (ring.depth, 5, 7))
     x[:, 0, :3] = (-ring.q, -1, ring.q)
     assert np.array_equal(ring.mat_mod(x), np.vectorize(lambda v: int(v) % ring.q)(x))
+
+
+# ---------------------------------------------------------------------------
+# inverses
+# ---------------------------------------------------------------------------
+
+
+def leibniz_terms(n):
+    """(sign, permutation) for every term of an n x n determinant."""
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        yield (-1) ** inversions, perm
+
+
+def reference_det(ref, data):
+    """The determinant of a small (depth, n, n) stack over a reference ring."""
+    total = ref.zero.vec
+    for sign, perm in leibniz_terms(data.shape[1]):
+        term = ref.one.vec
+        for i, j in enumerate(perm):
+            term = ref.mul_vec(term, tuple(data[:, i, j].tolist()))
+        total = ref.add_vec(total, term if sign > 0 else ref.neg_vec(term))
+    return total
+
+
+inverse_case = st.tuples(st.sampled_from(INVERSE_RINGS), st.integers(0, 2**32 - 1), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(inverse_case, st.booleans())
+def test_inv_vec_matches_reference(args, scalar):
+    # a scalar of Z/q (zero beyond slot 0) takes the shortcut past solve_mod
+    desc, seed, extreme = args
+    ring = make_ring(desc)
+    a = tuple(stack(ring, (), seed, extreme).tolist())
+    if scalar:
+        a = a[:1] + (0,) * (ring.depth - 1)
+    try:
+        want = reference(ring).inv_vec(a)
+    except RingError:
+        assert not ring.is_unit_vec(a)
+        with pytest.raises(RingError):
+            ring.inv_vec(a)
+    else:
+        assert ring.is_unit_vec(a)
+        assert ring.inv_vec(a) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(inverse_case, st.integers(1, 4))
+def test_mat_inv_matches_reference(args, n):
+    """Mat.inv inverts exactly the matrices whose determinant is a unit.
+
+    Wherever the reference `Ring.solve` finds an inverse the two agree (an
+    inverse is unique); over an extension, which is not local, the reference
+    can refuse an invertible matrix, and then the inverse is checked by
+    multiplying back.
+    """
+    desc, seed, extreme = args
+    ring, ref = make_ring(desc), reference(make_ring(desc))
+    data = stack(ring, (n, n), seed, extreme)
+    M = Mat(ring, data, reduce=False)
+    if not ref.is_unit_vec(reference_det(ref, data)):
+        with pytest.raises(RingError):
+            M.inv()
+        return
+    got = M.inv()
+    assert (got @ M).is_identity() and (M @ got).is_identity()
+    try:
+        want = reference_mat_inv(ref, data)
+    except RingError:
+        assert not ring.local
+    else:
+        assert np.array_equal(got.data, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 3), st.sampled_from([(3, 1), (3, 3), (5, 2), (7, 1)]),
+       st.integers(0, 2**32 - 1))
+def test_solve_mod_solves_or_refuses_a_singular_system(n, k, pq, seed):
+    p, e = pq
+    q, rng = p**e, random.Random(seed)
+    A = [[rng.randrange(-q, 2 * q) for _ in range(n)] for _ in range(n)]
+    B = [[rng.randrange(q) for _ in range(k)] for _ in range(n)]
+    # Z/q is local, so A is invertible iff its determinant is prime to p
+    det = 0
+    for sign, perm in leibniz_terms(n):
+        term = sign
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        det += term
+    try:
+        X = solve_mod(A, B, q, p)
+    except RingError:
+        assert det % p == 0
+        return
+    assert det % p
+    for i in range(n):
+        for j in range(k):
+            assert sum(A[i][t] * X[t][j] for t in range(n)) % q == B[i][j] % q
 
 
 # ---------------------------------------------------------------------------

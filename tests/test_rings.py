@@ -213,7 +213,7 @@ def test_elem_parse_format_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# the unit-pivot solver behind RingElem.inv on extensions and Mat.inv
+# the one elimination over Z/q behind RingElem.inv and Mat.inv
 # ---------------------------------------------------------------------------
 
 SOLVER_RINGS = ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3", "ext:trunc:3:2:1,1:2"]
@@ -225,7 +225,8 @@ def _unit_by_search(ring, x) -> bool:
     if ring.kind == "ext":
         base = ring.base
         bar = ExtRing(base.residue_field(), base.residue_vec(ring.r.vec), ring.m)
-        xbar = sum((base.residue_vec(blk).vec for blk in ring._blocks(x.vec)), ())
+        d = base.depth
+        xbar = sum((base.residue_vec(x.vec[i:i + d]).vec for i in range(0, ring.depth, d)), ())
     else:
         bar, xbar = ring.residue_field(), ring.residue_vec(x.vec).vec
     return any(bar.mul_vec(xbar, z) == bar.one.vec
@@ -247,26 +248,15 @@ def test_inverse_exists_exactly_for_units(desc, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(SOLVER_RINGS), st.sampled_from(["A2", "A3"]), st.integers(0, 2**32))
 def test_mat_inv_of_generator_products(desc, token, seed):
-    """Mat.inv of a word-free product of x_a(t) and torus factors.
-
-    Over a local ring the parameters are arbitrary.  An extension is not
-    local, and elimination on unit pivots can miss an invertible matrix there,
-    so its parameters lie in the base's radical times S: the product is then
-    diagonal with unit entries modulo that radical, and every column keeps a
-    unit pivot.
-    """
+    """Mat.inv of a word-free product of x_a(t) and torus factors, with
+    arbitrary parameters on every ring kind."""
     ring, sy, rng = make_ring(desc), system(token), random.Random(seed)
-    if ring.local:
-        param = ring.random_element
-    else:
-        def param(r):
-            return ring.embed(ring.base.random_radical(r)) * ring.random_element(r)
     g = GroupElement.identity(sy, ring)
     for _ in range(6):
         if rng.random() < 0.3:
             g = g @ t_k(sy, ring, rng.randrange(sy.rank), ring.random_unit(rng))
         else:
-            g = g @ x_elem(sy, ring, sy.roots[rng.randrange(len(sy.roots))], param(rng))
+            g = g @ x_elem(sy, ring, sy.roots[rng.randrange(len(sy.roots))], ring.random_element(rng))
     M = Mat(ring, g.mat.data)
     inv = M.inv()
     assert (inv @ M).is_identity()
@@ -275,3 +265,16 @@ def test_mat_inv_of_generator_products(desc, token, seed):
     singular[:, :, 0] = 0
     with pytest.raises(RingError):
         Mat(ring, singular).inv()
+
+
+def test_mat_inv_over_ext_without_a_unit_pivot_in_some_column():
+    """x_(0,-1)(t1) x_(-1,-1)(t2) x_(1,1)(t3) over ext:zmod:5^2:2:3: elimination
+    on unit pivots of S, which is not local, found no unit in column 6 and
+    refused this invertible matrix."""
+    ring, sy = make_ring("ext:zmod:5^2:2:3"), system("A2")
+    g = GroupElement.identity(sy, ring)
+    for root, t in (((0, -1), (16, 8, 1)), ((-1, -1), (12, 20, 7)), ((1, 1), (7, 3, 22))):
+        g = g @ x_elem(sy, ring, root, ring.elem(t))
+    inv = Mat(ring, g.mat.data).inv()
+    assert inv == g.inverse().mat
+    assert (inv @ g.mat).is_identity()
