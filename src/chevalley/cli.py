@@ -102,7 +102,11 @@ def cmd_decompose(args, out) -> int:
         raise ValueError("decompose requires --ring")
     ring = make_ring(args.ring)
     text = _sysmod.stdin.read() if args.matrix_file == "-" else open(args.matrix_file).read()
-    mat = Mat.from_json(ring, json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("matrix JSON is nested too deeply") from None
+    mat = Mat.from_json(ring, obj)
     if mat.n != sy.n:
         raise ValueError(f"matrix has n = {mat.n}, but {sy.name} acts on n = {sy.n}")
     try:
@@ -150,8 +154,16 @@ def cmd_verify(args, out) -> int:
     return 0 if rep["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line and exit 2, as every other
+    bad configuration is reported; subparsers are built of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="chevalley")
+    ap = _Parser(prog="chevalley")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, ring=True):

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .group import GroupElement, scalar_elem, t_k, x_elem
-from .lie import ad_x, ad_x_tables, h_index, root_index, structure_constants
+from .group import GroupElement, scalar_elem, t_k, torus_diagonal, x_elem
+from .lie import ad_x_tables, h_index, root_index, structure_constants
 from .matrices import Mat
 from .rings import Ring, RingElem, RingError, is_unit
 from .roots import (
@@ -88,17 +88,8 @@ class FactoredElement:
 
 
 def _torus_diag(sys: RootSystem, f: FactoredElement) -> list[RingElem]:
-    ring = f.ring
-    svals = list(f.s)
-    diag = []
-    for p in sys.positive:
-        v = f.lam
-        for sv, c in zip(svals, p):
-            if c:
-                v = v * sv**c
-        diag += [v, v.inv() * f.lam * f.lam]
-    diag += [f.lam] * sys.rank
-    return diag
+    """The diagonal of lam * t_1(s_1) ... t_l(s_l)."""
+    return [f.lam * d for d in torus_diagonal(sys, f.ring, f.s)]
 
 
 def compose(sys: RootSystem, f: FactoredElement) -> GroupElement:
@@ -149,6 +140,7 @@ class DesignatedCell:
     stage: int
     root: Root         # pinned root (t/u) or the diagonal root (diag)
     index: int         # positive-root index (t/u) or diagonal slot (diag)
+    lead: int          # integer coefficient of the pinned parameter in the cell
 
 
 @dataclass(frozen=True)
@@ -181,6 +173,7 @@ def _positions(kind: str, rank: int) -> PositionTable:
     seq = marked_sequence(sys)
     gammas = seq.gammas
     l = sys.rank
+    N = structure_constants(sys)
     cells: list[DesignatedCell] = []
     pinned_t: dict[Root, DesignatedCell] = {}
     pinned_u: dict[Root, DesignatedCell] = {}
@@ -189,10 +182,15 @@ def _positions(kind: str, rank: int) -> PositionTable:
     def ridx(r: Root) -> int:
         return root_index(sys, r)
 
+    def unipotent_cell(row: int, col: int, kind: str, stage: int, root: Root) -> DesignatedCell:
+        # the lead is the (row, col) entry of X_root for t and of X_-root for u
+        X = ad_x_tables(sys, N, root if kind == "t" else neg(root))[0]
+        lead = int(X.coeff[(X.dst == row) & (X.src == col)].sum())
+        return DesignatedCell(row, col, kind, stage, root, sys.pos_index[root], lead)
+
     def pin(root: Root, trow: int, tcol: int, urow: int, ucol: int, stage: int) -> None:
-        i = sys.pos_index[root]
-        pinned_t[root] = DesignatedCell(trow, tcol, "t", stage, root, i)
-        pinned_u[root] = DesignatedCell(urow, ucol, "u", stage, root, i)
+        pinned_t[root] = unipotent_cell(trow, tcol, "t", stage, root)
+        pinned_u[root] = unipotent_cell(urow, ucol, "u", stage, root)
 
     # chain pair scan: gamma_i - gamma_s pins one positive root per first pair
     for s in range(1, len(gammas)):
@@ -221,9 +219,8 @@ def _positions(kind: str, rank: int) -> PositionTable:
             continue
         qt = max(q for q, c in enumerate(g) if c in (1, 2))
         qu = max(q for q in range(l) if sys.pairing(g, sys.simple[q]) in (1, 2))
-        i = sys.pos_index[g]
-        pinned_t[g] = DesignatedCell(h_index(sys, qt), ridx(neg(g)), "t", stage, g, i)
-        pinned_u[g] = DesignatedCell(ridx(neg(g)), h_index(sys, qu), "u", stage, g, i)
+        pinned_t[g] = unipotent_cell(h_index(sys, qt), ridx(neg(g)), "t", stage, g)
+        pinned_u[g] = unipotent_cell(ridx(neg(g)), h_index(sys, qu), "u", stage, g)
 
     # exceptions, by height, anchored per the marked-sequence entries
     stage += 1
@@ -251,7 +248,7 @@ def _positions(kind: str, rank: int) -> PositionTable:
     expinv = _exponent_inverse(sys, diag_roots)
 
     for k, rho in enumerate(diag_roots):
-        cells.append(DesignatedCell(ridx(neg(rho)), ridx(neg(rho)), "diag", 0, rho, k))
+        cells.append(DesignatedCell(ridx(neg(rho)), ridx(neg(rho)), "diag", 0, rho, k, 1))
     order = sorted(sys.positive, key=lambda r: (height(r), r))
     for r in order:
         cells.append(pinned_t[r])
@@ -277,15 +274,6 @@ def designated_positions(sys: RootSystem) -> PositionTable:
 # ---------------------------------------------------------------------------
 
 
-def _lead_coefficient(sys: RootSystem, cell: DesignatedCell) -> int:
-    """Integer coefficient of the pinned parameter in the gauge residual."""
-    if cell.kind == "diag":
-        return 1
-    r = cell.root if cell.kind == "t" else neg(cell.root)
-    N = structure_constants(sys)
-    return int(ad_x(sys, N, r)[cell.row, cell.col])
-
-
 def recover(
     sys: RootSystem,
     X: GroupElement | Mat,
@@ -308,10 +296,8 @@ def recover(
     for cell in table.cells:
         if cell.kind == "diag" and not is_unit(mat.get(cell.row, cell.col)):
             raise RecoveryError("not in normal form: designated diagonal entry is not a unit")
-        if cell.kind != "diag":
-            c = _lead_coefficient(sys, cell)
-            if not ring.is_unit_vec(ring.from_int(c).vec):  # pragma: no cover - guarded by design
-                raise RecoveryError(f"leading coefficient {c} is not a unit")
+        if not ring.is_unit_vec(ring.from_int(cell.lead).vec):  # pragma: no cover - guarded by design
+            raise RecoveryError(f"leading coefficient {cell.lead} is not a unit")
 
     f = FactoredElement.trivial(sys, ring)
     dvals = [ring.one] * (l + 1)
@@ -330,8 +316,7 @@ def recover(
             else:
                 if w != ring.zero:
                     stable = False
-                    coeff = ring.from_int(_lead_coefficient(sys, cell))
-                    incr = w * coeff.inv()
+                    incr = w * ring.from_int(cell.lead).inv()
                     if cell.kind == "t":
                         tnew[cell.index] = tnew[cell.index] + incr
                     else:

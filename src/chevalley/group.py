@@ -174,9 +174,10 @@ def _root_splits(kind: str, rank: int) -> dict[Root, tuple[Root, int]]:
             for p in sys.positive if p not in sys.simple}
 
 
-def _char_mat(sys: RootSystem, ring: Ring, values: tuple[RingElem, ...]) -> Mat:
-    """chi(p) at 2k and chi(p)^-1 at 2k + 1 for the k-th positive root p, and
-    1 on the Cartan rows.
+def torus_diagonal(sys: RootSystem, ring: Ring, values: tuple[RingElem, ...]) -> list[RingElem]:
+    """The diagonal of the torus element whose character takes `values` on
+    the simple roots: chi(p) at 2k and chi(p)^-1 at 2k + 1 for the k-th
+    positive root p, and 1 on the Cartan rows.
 
     sys.positive runs by height, so every non-simple root is an earlier root
     plus a simple root a_i (`_root_splits`), and its pair is that root's pair
@@ -192,8 +193,11 @@ def _char_mat(sys: RootSystem, ring: Ring, values: tuple[RingElem, ...]) -> Mat:
             (v, w), (vi, wi) = pairs[q], pairs[sys.simple[i]]
             pairs[p] = (v * vi, w * wi)
         diag += pairs[p]
-    diag += [ring.one] * sys.rank
-    return Mat.diagonal(ring, diag)
+    return diag + [ring.one] * sys.rank
+
+
+def _char_mat(sys: RootSystem, ring: Ring, values: tuple[RingElem, ...]) -> Mat:
+    return Mat.diagonal(ring, torus_diagonal(sys, ring, values))
 
 
 def h_elem(sys: RootSystem, chi: Character) -> GroupElement:

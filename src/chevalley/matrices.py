@@ -150,22 +150,6 @@ class Mat:
             np.fill_diagonal(off[d], 0)
         return not off.any()
 
-    # -- conjugation by an invertible diagonal ------------------------------------
-
-    def conjugate_by_diagonal(self, diag: list[RingElem], inv: list[RingElem] | None = None) -> "Mat":
-        """Compute D · self · D^{-1} for D = diag(diag) without full matmuls.
-
-        `inv` holds the inverses of the entries when the caller already has
-        them; otherwise each entry is inverted here.
-        """
-        ring = self.ring
-        if inv is None:
-            inv = [e.inv() for e in diag]
-        dvecs = np.stack([np.asarray(e.vec, dtype=np.int64) for e in diag], axis=1)
-        dinv = np.stack([np.asarray(e.vec, dtype=np.int64) for e in inv], axis=1)
-        left = ring.mat_elemmul(self.data, dvecs[:, :, None])
-        return Mat(ring, ring.mat_elemmul(left, dinv[:, None, :]))
-
     # -- inverses ------------------------------------------------------------------
 
     def inv(self) -> "Mat":

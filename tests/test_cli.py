@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -124,7 +125,11 @@ def test_bad_configuration_exits_two(capsys):
                  # one explicit unit with an instance count
                  ["verify", "lemma3", "--system", "A2", "--ring", "zmod:5^3", "--r", "2", "--count", "5"],
                  ["verify", "jacobi", "--system", "A2", "--ring", "gf:3"],
-                 ["verify", "graph", "--system", "A2", "--ring", "gf:3", "--control"]):
+                 ["verify", "graph", "--system", "A2", "--ring", "gf:3", "--control"],
+                 # argparse errors: a missing value, a non-integer, an unknown verb
+                 ["verify", "lemma2", "--system", "A2", "--ring"],
+                 ["verify", "lemma2", "--system", "A2", "--ring", "gf:3", "--count", "x"],
+                 ["nosuch"]):
         code, out = run_cli(argv)
         err = capsys.readouterr().err
         assert code == 2 and out == ""
@@ -147,10 +152,10 @@ def test_verify_failure_exit_code_is_one(monkeypatch):
     assert code == 1
 
 
-def _a2_matrix_json():
+def _matrix_json(desc):
     import random
 
-    f = random_factored(system("A2"), make_ring("zmod:3^4"), random.Random(3))
+    f = random_factored(system("A2"), make_ring(desc), random.Random(3))
     return compose(system("A2"), f).mat.to_json()
 
 
@@ -196,7 +201,7 @@ def _not_an_object(obj):
                                     _not_an_object],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_decompose_malformed_matrix_exits_two(mangle, tmp_path, capsys):
-    obj = _a2_matrix_json()
+    obj = _matrix_json("zmod:3^4")
     mangle(obj)
     payload = obj.get("__replace__", obj)
     path = tmp_path / "mat.json"
@@ -208,6 +213,79 @@ def test_decompose_malformed_matrix_exits_two(mangle, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "matmul" not in err
+
+
+# valid A2 matrices at depth 1 and 2, the starting points of the mangling
+_MATRICES = {desc: _matrix_json(desc) for desc in ("zmod:3^4", "trunc:3:2")}
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+                  st.text(max_size=3), st.integers(-2**70, 2**70),
+                  st.lists(st.integers(-9, 9), max_size=3),
+                  st.lists(st.lists(st.integers(0, 2), max_size=2), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2))
+
+
+@st.composite
+def _mangled_matrix(draw):
+    """(ring descriptor, JSON text): a valid matrix with one to three of its
+    n, rows, entries, keys or ring replaced, cut or padded, possibly wrapped
+    into a non-object or nested deeper than the parser recurses."""
+    desc = draw(st.sampled_from(sorted(_MATRICES)))
+    obj = json.loads(json.dumps(_MATRICES[desc]))
+    rows = obj["rows"]
+    n = len(rows)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        how = draw(st.sampled_from(["n", "ragged", "entry", "value", "depth", "row", "rows", "key",
+                                    "ring"]))
+        row = rows[i] if isinstance(rows[i], list) and rows[i] else None
+        if how == "n":
+            obj["n"] = draw(st.one_of(st.integers(-2, 2 * n), _JUNK))
+        elif how == "ragged" and row is not None:
+            rows[i] = row[:j % len(row)] if draw(st.booleans()) else row + row[:j % len(row) + 1]
+        elif how == "entry" and row is not None:
+            row[j % len(row)] = draw(_JUNK)
+        elif how == "value" and row is not None:
+            row[j % len(row)] = draw(st.integers(-2**70, 2**70))
+        elif how == "depth" and row is not None:
+            depth = make_ring(desc).depth
+            k = draw(st.integers(0, 4).filter(lambda k: k != depth))
+            row[j % len(row)] = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k))
+        elif how == "row":
+            rows[i] = draw(_JUNK)
+        elif how == "rows":
+            obj["rows"] = draw(st.one_of(_JUNK, st.just(rows[:j]), st.just(rows + rows[:j + 1])))
+        elif how == "key":
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        elif how == "ring":
+            obj["ring"] = draw(st.one_of(st.sampled_from(["int", "gf:3", "zmod:3^4", "trunc:3:2", ""]), _JUNK))
+    wrap = draw(st.sampled_from(["object", "object", "list", "junk", "nested"]))
+    if wrap == "list":
+        obj = [obj]
+    elif wrap == "junk":
+        obj = draw(_JUNK)
+    text = json.dumps(obj)
+    if wrap == "nested":
+        depth = draw(st.sampled_from([1, 50, 100_000]))
+        text = "[" * depth + text + "]" * depth
+    return desc, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mangled_matrix())
+def test_malformed_matrix_fuzz_exits_cleanly(case):
+    """Wrong n, ragged rows, non-integer entries, entries of the wrong depth,
+    missing keys and non-objects: no traceback, and exit 2 is one error line."""
+    desc, text = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["decompose", "--system", "A2", "--ring", desc, "--matrix-file", "-"])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("desc", ["trunc:3:100000", "ext:gf:3:1:100000"])

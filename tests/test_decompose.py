@@ -17,7 +17,8 @@ from chevalley.decompose import (
     recover,
 )
 from chevalley.group import GroupElement
-from chevalley.lie import SparseColumns, ad_x_tables, h_index, root_index, structure_constants
+from chevalley.lie import SparseColumns, ad_x, ad_x_tables, h_index, root_index, structure_constants
+from chevalley.matrices import Mat
 from chevalley.rings import RingError, make_ring
 from chevalley.roots import Root, RootSystem, add, neg, system
 from chevalley.suites import eq3_element, random_congruence_word, random_factored
@@ -88,6 +89,72 @@ def test_designated_positions_e8_exception_cells():
     exc_cells = [c for c in table.cells if c.stage == exc_stage and c.kind != "diag"]
     # two cells per classified exception root
     assert len(exc_cells) == 30
+
+
+def reference_lead_coefficient(sys: RootSystem, cell) -> int:
+    """The deleted `decompose._lead_coefficient`, verbatim: the lead read
+    from the dense ad x table on every call."""
+    if cell.kind == "diag":
+        return 1
+    r = cell.root if cell.kind == "t" else neg(cell.root)
+    N = structure_constants(sys)
+    return int(ad_x(sys, N, r)[cell.row, cell.col])
+
+
+@pytest.mark.parametrize("token", ["A2", "A3", "D4", "D5", "E6", "E7", "E8"])
+def test_position_table_records_lead_coefficients(token):
+    sys = system(token)
+    cells = designated_positions(sys).cells
+    leads = [c.lead for c in cells]
+    assert leads == [reference_lead_coefficient(sys, c) for c in cells]
+    # units over every ring with 1/2: +-1, and one 2 at E8
+    assert set(leads) == ({-1, 1, 2} if token == "E8" else {-1, 1})
+
+
+def reference_torus_diag(sys: RootSystem, f: FactoredElement) -> list:
+    """The deleted `decompose._torus_diag`, verbatim: chi(p) by powers and
+    its inverse by one `inv` per positive root."""
+    ring = f.ring
+    svals = list(f.s)
+    diag = []
+    for p in sys.positive:
+        v = f.lam
+        for sv, c in zip(svals, p):
+            if c:
+                v = v * sv**c
+        diag += [v, v.inv() * f.lam * f.lam]
+    diag += [f.lam] * sys.rank
+    return diag
+
+
+TORUS_RINGS = ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3", "ext:trunc:3:2:1,1:2"]
+
+
+def random_units_factored(sys: RootSystem, ring, rng) -> FactoredElement:
+    """Unit lam and s, and arbitrary t and u: every ring kind, ext included."""
+    return FactoredElement(ring=ring, lam=ring.random_unit(rng),
+                           s=tuple(ring.random_unit(rng) for _ in range(sys.rank)),
+                           t=tuple(ring.random_element(rng) for _ in range(sys.m)),
+                           u=tuple(ring.random_element(rng) for _ in range(sys.m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A2", "A3", "D4", "E6"]), st.sampled_from(TORUS_RINGS), st.integers(0, 2**32 - 1))
+def test_torus_diag_matches_reference(token, desc, seed):
+    sys, ring = system(token), make_ring(desc)
+    f = random_units_factored(sys, ring, random.Random(seed))
+    diag = decompose._torus_diag(sys, f)
+    assert diag == reference_torus_diag(sys, f)
+    assert compose(sys, dataclasses.replace(f, t=(ring.zero,) * sys.m, u=(ring.zero,) * sys.m)).mat \
+        == Mat.diagonal(ring, diag)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["A2", "A3", "D4"]), st.sampled_from(TORUS_RINGS), st.integers(0, 2**32 - 1))
+def test_compose_inverse_inverts_compose(token, desc, seed):
+    sys, ring = system(token), make_ring(desc)
+    f = random_units_factored(sys, ring, random.Random(seed))
+    assert (decompose._compose_inverse_mat(sys, f) @ compose(sys, f).mat).is_identity()
 
 
 @pytest.mark.parametrize(
@@ -182,8 +249,6 @@ def test_gauge_matches_designated_cells():
     assert not resid2.is_identity()
     assert resid2.mat == pert
     table = designated_positions(A2)
-    from chevalley.matrices import Mat
-
     eye = Mat.identity(Z81, A2.n)
     for c in table.cells:
         assert resid2.mat.get(c.row, c.col) == eye.get(c.row, c.col)
