@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lie import StructureConstants, ad_x, ad_x_tables, h_index, root_index
+from .lie import ad_x, ad_x_tables, h_index, root_index, structure_constants
 from .matrices import Mat
 from .rings import Ring, RingElem, RingError
 from .roots import Root, RootSystem, add, build_root_system, height, neg, sub
@@ -89,14 +89,12 @@ def _factor_matrix(sys: RootSystem, ring: Ring, f: Factor) -> Mat:
     if f[0] == "scalar":
         return Mat.diagonal(ring, [f[1]] * sys.n)
     data = f[2]["matrix"]
-    m = Mat.from_int_matrix(ring, data.T if f[2].get("inv") else data)
-    return m
+    return Mat.from_int_matrix(ring, data.T if f[2].get("inv") else data)
 
 
 def _factor_inverse(sys: RootSystem, ring: Ring, f: Factor) -> GroupElement:
     if f[0] == "x":
-        g = GroupElement(sys, ring, _x_mat(sys, ring, f[1], -f[2]), (("x", f[1], -f[2]),))
-        return g
+        return GroupElement(sys, ring, _x_mat(sys, ring, f[1], -f[2]), (("x", f[1], -f[2]),))
     if f[0] == "h":
         vals = tuple(v.inv() for v in f[1])
         return GroupElement(sys, ring, _char_mat(sys, ring, vals), (("h", vals),))
@@ -122,14 +120,8 @@ def word_to_matrix(sys: RootSystem, ring: Ring, word) -> Mat:
 
 
 def _x_mat(sys: RootSystem, ring: Ring, r: Root, t: RingElem) -> Mat:
-    X, X2 = ad_x_tables(sys, _constants(sys), r)
+    X, X2 = ad_x_tables(sys, structure_constants(sys), r)
     return Mat.unipotent(ring, sys.n, ((X, t), (X2, t * t * ring.half)))
-
-
-def _constants(sys: RootSystem) -> StructureConstants:
-    from .lie import structure_constants
-
-    return structure_constants(sys)
 
 
 def x_elem(sys: RootSystem, ring: Ring, r: Root, t: RingElem) -> GroupElement:
@@ -252,7 +244,7 @@ def commutator_check(
     c = commutator(x_elem(sys, ring, a, t), x_elem(sys, ring, b, u))
     s = add(a, b)
     if sys.is_root(s):
-        N = _constants(sys)
+        N = structure_constants(sys)
         return c == x_elem(sys, ring, s, ring.from_int(N.n(a, b)) * t * u)
     return c.is_identity()
 
@@ -307,7 +299,7 @@ def apply_diagram(perm: tuple[int, ...], r: Root) -> Root:
 
 def _graph_signs(sys: RootSystem, perm: tuple[int, ...]) -> dict[Root, int]:
     """Column signs for the diagram-automorphism matrix, +1 on the simple roots."""
-    N = _constants(sys)
+    N = structure_constants(sys)
     eps: dict[Root, int] = {s: 1 for s in sys.simple}
     for g in sorted(sys.positive, key=lambda r: (height(r), r)):
         if g in eps:
@@ -344,7 +336,7 @@ def graph_matrix(sys: RootSystem, ring: Ring, delta: str | tuple[int, ...]) -> G
     for i in range(sys.rank):
         A[h_index(sys, perm[i]), h_index(sys, i)] = 1
     # conjugation must permute the generator set: A X_r A^T = eps(r) X_{delta r}
-    N = _constants(sys)
+    N = structure_constants(sys)
     for r in sys.roots:
         lhs = A @ ad_x(sys, N, r) @ A.T
         if not np.array_equal(lhs, eps[r] * ad_x(sys, N, apply_diagram(perm, r))):

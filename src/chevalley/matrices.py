@@ -14,7 +14,9 @@ depth x depth regular representation of s.  M A_k is left unreduced, so its
 entries are at most K (q - 1) in absolute value, K being A_k's largest column
 sum of |coefficient|; T_s (M A_k) then sums depth such products, and the step
 needs K * depth * (q - 1)^2 + q < 2^63, which `Mat.unipotent` checks for
-every term when it builds the factor.  Every other product is dense.
+every term when it builds the factor.  Every other product is dense.  A
+generator keeps only its factor; its dense stack is that update applied to
+the identity, formed once, the first time `data` is read.
 
 `Mat.inv` works on every ring kind, extensions included: it solves the
 (depth n) x (depth n) matrix of X -> M X over Z/q with `rings.solve_mod`, and
@@ -28,8 +30,19 @@ import numpy as np
 from .rings import Ring, RingElem, RingError, solve_mod
 
 
+def _unipotent_right(ring: Ring, M: np.ndarray, parts) -> np.ndarray:
+    """M (I + sum s A) = M + sum s (M A), over the columns A touches: one
+    product with T_s and one reduction per term (bound: module docstring)."""
+    out = M.copy()
+    shape = (ring.depth, -1)
+    for A, Ts in parts:
+        MA = A.right_mul(M)
+        out[..., A.cols] = ring.mat_mod(out[..., A.cols] + (Ts @ MA.reshape(shape)).reshape(MA.shape))
+    return out
+
+
 class Mat:
-    __slots__ = ("ring", "n", "data", "factor")
+    __slots__ = ("ring", "n", "_data", "factor")
 
     def __init__(self, ring: Ring, data: np.ndarray, *, reduce: bool = True, factor=None):
         self.ring = ring
@@ -37,16 +50,21 @@ class Mat:
             data = ring.mat_mod(np.asarray(data, dtype=np.int64))
         self.n = data.shape[1]
         data.setflags(write=False)
-        self.data = data
+        self._data = data
         # ("diag", (depth, 1, n) stack) | ("unipotent", ((SparseColumns, T_s), ...))
         # with T_s the (depth, depth) regular representation of the scalar s
         self.factor = factor
 
-    # -- constructors ----------------------------------------------------------
+    @property
+    def data(self) -> np.ndarray:
+        """The read-only (depth, n, n) stack; a generator forms it here, once."""
+        if self._data is None:
+            data = _unipotent_right(self.ring, Mat.identity(self.ring, self.n).data, self.factor[1])
+            data.setflags(write=False)
+            self._data = data
+        return self._data
 
-    @classmethod
-    def zeros(cls, ring: Ring, n: int) -> "Mat":
-        return cls(ring, np.zeros((ring.depth, n, n), dtype=np.int64), reduce=False)
+    # -- constructors ----------------------------------------------------------
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Mat":
@@ -71,23 +89,18 @@ class Mat:
     @classmethod
     def unipotent(cls, ring: Ring, n: int, terms) -> "Mat":
         """I + sum of s * A over the (A, s) in `terms`: A an integer matrix given
-        by its `SparseColumns`, s a ring element."""
-        data = np.zeros((ring.depth, n, n), dtype=np.int64)
-        np.fill_diagonal(data[0], 1)
+        by its `SparseColumns`, s a ring element.  Only the factor is built."""
         factor = []
         for A, s in terms:
             if A.n != n:
                 raise RingError(f"sparse {A.n} x {A.n} term in a {n} x {n} matrix")
             ring.check_int64(A.col_bound * ring.depth, "a generator column update", ring.q)
-            svec = np.asarray(s.vec, dtype=np.int64)
-            # (dst, src) pairs are distinct within one table, so each cell is
-            # read and written once per term
-            cells = (slice(None), A.dst, A.src)
-            data[cells] = ring.mat_mod(data[cells] + svec[:, None] * A.coeff)
-            Ts = ring.regular(svec)
+            Ts = np.array(ring.regular_rows(s.vec), dtype=np.int64)
             Ts.setflags(write=False)
             factor.append((A, Ts))
-        return cls(ring, data, reduce=False, factor=("unipotent", tuple(factor)))
+        out = cls.__new__(cls)
+        out.ring, out.n, out._data, out.factor = ring, n, None, ("unipotent", tuple(factor))
+        return out
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -100,14 +113,7 @@ class Mat:
         kind, parts = other.factor
         if kind == "diag":
             return Mat(ring, ring.mat_elemmul(self.data, parts), reduce=False)
-        # M (I + sum s A) = M + sum s (M A), over the columns A touches: one
-        # product with T_s and one reduction per term (bound: module docstring)
-        out = self.data.copy()
-        shape = (ring.depth, -1)
-        for A, Ts in parts:
-            MA = A.right_mul(self.data)
-            out[..., A.cols] = ring.mat_mod(out[..., A.cols] + (Ts @ MA.reshape(shape)).reshape(MA.shape))
-        return Mat(ring, out, reduce=False)
+        return Mat(ring, _unipotent_right(ring, self.data, parts), reduce=False)
 
     def __add__(self, other: "Mat") -> "Mat":
         return Mat(self.ring, self.data + other.data)

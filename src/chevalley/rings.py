@@ -258,15 +258,22 @@ class Ring:
             if a[0] % self.p == 0:
                 raise RingError(f"{a[0]} is not a unit in {self.descriptor}")
             return (pow(a[0], -1, self.q),) + a[1:]
-        d = self.depth
-        R = [[0] * d for _ in range(d)]
-        for k, i, j, c in self._terms:
-            R[k][i] += c * a[j]
         try:
-            x = solve_mod(R, [[1]] + [[0]] * (d - 1), self.q, self.p)
+            x = solve_mod(self.regular_rows(a), [[1]] + [[0]] * (self.depth - 1), self.q, self.p)
         except RingError:
             raise RingError(f"{a} is not a unit in {self.descriptor}") from None
         return tuple(row[0] for row in x)
+
+    def regular_rows(self, a: Vec) -> list[list[int]]:
+        """`regular` of one element, as lists of rows built in Python: one
+        element is too small for numpy calls to pay."""
+        if self.depth == 1:
+            return [[a[0] % self.q]]  # C = [[[1]]], as in mul_vec
+        d, q = self.depth, self.q
+        R = [[0] * d for _ in range(d)]
+        for k, i, j, c in self._terms:
+            R[k][i] += c * a[j]
+        return [[x % q for x in row] for row in R]
 
     def is_unit_vec(self, a: Vec) -> bool:
         try:

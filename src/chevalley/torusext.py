@@ -4,7 +4,9 @@ A basic torus element of the residue picture acts on the generator of the
 first simple root by a unit r and fixes the other simple-root generators.
 The lift realizes this action as a genuine diagonal element over S = R or
 over S = R[y]/(y^m - r), as a product of h_{alpha_i} factors whose exponents
-are the first fundamental coweight cleared of denominators.
+are the first fundamental coweight cleared of denominators.  The factors'
+characters are multiplied value by value, so the lift's matrix is one
+`torus_diagonal` walk, and its inverse another, of the inverted values.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .group import GroupElement, h_alpha, x_elem
+from .group import GroupElement, torus_diagonal, x_elem
 from .matrices import Mat
 from .rings import ExtRing, Ring, RingElem, RingError, adjoin_root, is_unit
 from .roots import Root, RootSystem, build_root_system, solve_rational
@@ -46,6 +48,7 @@ class TorusLift:
     root_power: int            # m with s^m = r (1 when S = R)
     exponents: tuple[int, ...]
     gen: RingElem              # s in S
+    character: tuple[RingElem, ...]  # the values of t on the simple roots
     element: GroupElement      # the diagonal lift t
 
     def embed(self, x: RingElem) -> RingElem:
@@ -58,24 +61,16 @@ def build_lift(sys: RootSystem, base: Ring, r: RingElem) -> TorusLift:
     if not is_unit(r):
         raise RingError("the realized torus value must be a unit")
     m, exps = lift_exponents(sys)
-    if m == 1:
-        S: Ring = base
-        s = r
-    else:
-        S, s = adjoin_root(base, r, m)
-    t = GroupElement.identity(sys, S)
-    for i, e in enumerate(exps):
-        t = t @ h_alpha(sys, S, sys.simple[i], s**e)
-    return TorusLift(
-        system=sys.name,
-        base=base,
-        ring=S,
-        r=r,
-        root_power=m,
-        exponents=exps,
-        gen=s,
-        element=t,
-    )
+    S, s = (base, r) if m == 1 else adjoin_root(base, r, m)
+    # h_{alpha_i}(u) takes u^<a_j, alpha_i> on a_j (`group.h_alpha`)
+    word, chi = [], [S.one] * sys.rank
+    for alpha, e in zip(sys.simple, exps):
+        u = s**e
+        word.append(("h", tuple(u ** sys.pairing(a, alpha) for a in sys.simple)))
+        chi = [c * v for c, v in zip(chi, word[-1][1])]
+    t = GroupElement(sys, S, Mat.diagonal(S, torus_diagonal(sys, S, tuple(chi))), tuple(word))
+    return TorusLift(system=sys.name, base=base, ring=S, r=r, root_power=m, exponents=exps,
+                     gen=s, character=tuple(chi), element=t)
 
 
 @dataclass(frozen=True)
@@ -105,13 +100,13 @@ def verify_lift(
     """Check t x_a(u) t^{-1} = x_a(r^k u) with k the alpha_1 coefficient of a.
 
     Simple roots are all checked; `general_roots` further roots are sampled,
-    always including one of maximal alpha_1 coefficient.  The lift t is
-    diagonal, so t^{-1} is the diagonal of its entries' inverses, and
-    t x_a(u) t^{-1} is one generator step and one column scaling.
+    always including one of maximal alpha_1 coefficient.  t^{-1} is the
+    torus element of the inverted character, and t x_a(u) t^{-1} is one
+    generator step and one column scaling.
     """
     S, base = lift.ring, lift.base
     t = lift.element.mat
-    t_inv = Mat.diagonal(S, [e.inv() for e in t.diagonal_elems()])
+    t_inv = Mat.diagonal(S, torus_diagonal(sys, S, tuple(v.inv() for v in lift.character)))
     checks: list[LiftCheck] = []
     sample: list[Root] = list(sys.simple)
     others = [r for r in sys.roots if r not in sys.simple]

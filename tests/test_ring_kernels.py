@@ -339,6 +339,16 @@ def reference_det(ref, data):
     return total
 
 
+@settings(max_examples=150, deadline=None)
+@given(case)
+def test_regular_rows_match_regular(args):
+    # the Python rows `inv_vec` solves and `Mat.unipotent` turns into T_s
+    desc, seed, extreme = args
+    ring = make_ring(desc)
+    a = stack(ring, (), seed, extreme)
+    assert np.array_equal(np.array(ring.regular_rows(tuple(a.tolist())), dtype=np.int64), ring.regular(a))
+
+
 inverse_case = st.tuples(st.sampled_from(INVERSE_RINGS), st.integers(0, 2**32 - 1), st.booleans())
 
 

@@ -3,19 +3,25 @@
 `Mat.__matmul__` applies a right operand built by `x_elem` as a sparse column
 update and one built by `Mat.diagonal` as a column scaling.  Here both are
 compared with `Ring.mat_mul` on the same data, for every ring kind, including
-a prime modulus at the top of the int64-exact range.
+a prime modulus at the top of the int64-exact range.  A generator forms its
+dense matrix only when it is read; that matrix is checked against the dense
+scatter `Mat.unipotent` used to build for every generator.
 """
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevalley.decompose import compose, recover
 from chevalley.group import x_elem
 from chevalley.lie import SparseColumns, ad_x, ad_x_squared, ad_x_tables, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import _MAX_MODULUS, RingError, _is_prime, make_ring
 from chevalley.roots import system
+from chevalley.suites import random_factored
 
 # the largest prime the int64 bound n * (q - 1)^2 < 2^63 admits for n <= 248
 BIG_PRIME = max(p for p in range(_MAX_MODULUS - 100, _MAX_MODULUS + 1) if _is_prime(p))
@@ -125,3 +131,64 @@ def test_only_generator_and_diagonal_constructors_carry_a_factor():
 def test_sparse_columns_of_zero_matrix():
     table = SparseColumns(4, [(1, 2, 0)])
     assert table.right_mul(np.ones((2, 3, 4), dtype=np.int64)).shape == (2, 3, 0)
+
+
+def reference_unipotent_data(ring, n, terms):
+    """The deleted dense scatter of `Mat.unipotent`, verbatim: I + sum s * A
+    for the (SparseColumns A, ring element s) in `terms`."""
+    data = np.zeros((ring.depth, n, n), dtype=np.int64)
+    np.fill_diagonal(data[0], 1)
+    for A, s in terms:
+        svec = np.asarray(s.vec, dtype=np.int64)
+        # (dst, src) pairs are distinct within one table, so each cell is
+        # read and written once per term
+        cells = (slice(None), A.dst, A.src)
+        data[cells] = ring.mat_mod(data[cells] + svec[:, None] * A.coeff)
+    return data
+
+
+GENERATOR_RINGS = ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3", "ext:trunc:3:2:1,1:2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SYSTEMS), st.sampled_from(GENERATOR_RINGS), st.integers(0, 2**32 - 1),
+       st.integers(0, 10**9))
+def test_lazy_generator_data_equals_dense_scatter(token, desc, seed, pick):
+    sys, ring = system(token), make_ring(desc)
+    root = sys.roots[pick % len(sys.roots)]
+    t = random_mat(ring, 1, seed).get(0, 0)
+    X, X2 = ad_x_tables(sys, structure_constants(sys), root)
+    want = reference_unipotent_data(ring, sys.n, ((X, t), (X2, t * t * ring.half)))
+    assert np.array_equal(x_elem(sys, ring, root, t).mat.data, want)
+
+
+def test_generator_data_is_built_once_and_read_only():
+    sys, ring = system("A2"), make_ring("trunc:3:3")
+    X = x_elem(sys, ring, sys.maximal, ring.one).mat
+    assert X._data is None
+    data = X.data
+    assert X.data is data
+    assert not data.flags.writeable
+    with pytest.raises(ValueError):
+        data[0, 0, 0] = 2
+
+
+def test_generators_used_as_right_factors_are_never_made_dense(monkeypatch):
+    built = []
+    unipotent = Mat.unipotent.__func__
+
+    def recording(cls, ring, n, terms):
+        M = unipotent(cls, ring, n, terms)
+        built.append(M)
+        return M
+
+    monkeypatch.setattr(Mat, "unipotent", classmethod(recording))
+    sys, ring = system("D4"), make_ring("trunc:3:3")
+    random_mat(ring, sys.n, 0) @ x_elem(sys, ring, sys.maximal, ring.one).mat
+    f = random_factored(sys, ring, random.Random(0))
+    g = compose(sys, f)
+    assert recover(sys, g) == f
+    # one for the product, 2m for compose, 2m for its exactness check in
+    # recover and 2m per recovery sweep
+    assert len(built) > 1 + 4 * sys.m
+    assert all(M._data is None for M in built)

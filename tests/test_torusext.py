@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley.group import x_elem
+from chevalley.group import GroupElement, h_alpha, word_to_matrix, x_elem
 from chevalley.matrices import Mat
 from chevalley.rings import RingError, make_ring
 from chevalley.torusext import build_lift, coweight_exponents, lift_exponents, verify_lift
@@ -164,3 +164,20 @@ def test_e8_lift_reaches_power_two():
     report = verify_lift(lift, sys, rng, general_roots=5)
     assert report.ok
     assert max(abs(c.expected_power) for c in report.checks) == 2
+
+
+@pytest.mark.parametrize("token", ["A3", "D4", "E6", "E7"])
+@pytest.mark.parametrize("base", ["zmod:5^2", "trunc:3:2"])
+def test_lift_equals_product_of_h_alpha_and_its_word(token, base):
+    # root powers 4, 2, 3 and 1: the product the lift was built as before its
+    # characters were multiplied value by value
+    sys, ring = system(token), make_ring(base)
+    lift = build_lift(sys, ring, ring.random_unit(random.Random(6)))
+    S, s = lift.ring, lift.gen
+    old = GroupElement.identity(sys, S)
+    for alpha, e in zip(sys.simple, lift.exponents):
+        old = old @ h_alpha(sys, S, alpha, s**e)
+    assert lift.element.word == old.word
+    assert lift.element.mat == old.mat
+    assert lift.element.mat == word_to_matrix(sys, S, lift.element.word)
+    assert lift.character == (lift.embed(lift.r),) + (S.one,) * (sys.rank - 1)
