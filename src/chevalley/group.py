@@ -198,10 +198,14 @@ def h_elem(sys: RootSystem, chi: Character) -> GroupElement:
     return GroupElement(sys, ring, _char_mat(sys, ring, chi.values), (("h", chi.values),))
 
 
+def h_alpha_values(sys: RootSystem, alpha: Root, u: RingElem) -> tuple[RingElem, ...]:
+    """h_alpha(u)'s character on the simple roots: lambda -> u^<lambda, alpha>."""
+    return tuple(u ** sys.pairing(s, tuple(alpha)) for s in sys.simple)
+
+
 def h_alpha(sys: RootSystem, ring: Ring, alpha: Root, u: RingElem) -> GroupElement:
-    """h_alpha(u): the character sends lambda to u^<lambda, alpha>."""
-    values = tuple(u ** sys.pairing(s, tuple(alpha)) for s in sys.simple)
-    return h_elem(sys, Character(ring, values))
+    """h_alpha(u), the torus element of `h_alpha_values`."""
+    return h_elem(sys, Character(ring, h_alpha_values(sys, alpha, u)))
 
 
 def t_k(sys: RootSystem, ring: Ring, k: int, x: RingElem) -> GroupElement:

@@ -44,12 +44,16 @@ def _unipotent_right(ring: Ring, M: np.ndarray, parts) -> np.ndarray:
 class Mat:
     __slots__ = ("ring", "n", "_data", "factor")
 
-    def __init__(self, ring: Ring, data: np.ndarray, *, reduce: bool = True, factor=None):
+    def __init__(self, ring: Ring, data: np.ndarray | None, *, reduce: bool = True, factor=None,
+                 n: int | None = None):
+        """data None (n given) is a generator: `data` forms it from `factor`."""
         self.ring = ring
-        if reduce:
-            data = ring.mat_mod(np.asarray(data, dtype=np.int64))
-        self.n = data.shape[1]
-        data.setflags(write=False)
+        if data is not None:
+            if reduce:
+                data = ring.mat_mod(np.asarray(data, dtype=np.int64))
+            n = data.shape[1]
+            data.setflags(write=False)
+        self.n = n
         self._data = data
         # ("diag", (depth, 1, n) stack) | ("unipotent", ((SparseColumns, T_s), ...))
         # with T_s the (depth, depth) regular representation of the scalar s
@@ -59,9 +63,8 @@ class Mat:
     def data(self) -> np.ndarray:
         """The read-only (depth, n, n) stack; a generator forms it here, once."""
         if self._data is None:
-            data = _unipotent_right(self.ring, Mat.identity(self.ring, self.n).data, self.factor[1])
-            data.setflags(write=False)
-            self._data = data
+            self._data = _unipotent_right(self.ring, Mat.identity(self.ring, self.n).data, self.factor[1])
+            self._data.setflags(write=False)
         return self._data
 
     # -- constructors ----------------------------------------------------------
@@ -98,9 +101,7 @@ class Mat:
             Ts = np.array(ring.regular_rows(s.vec), dtype=np.int64)
             Ts.setflags(write=False)
             factor.append((A, Ts))
-        out = cls.__new__(cls)
-        out.ring, out.n, out._data, out.factor = ring, n, None, ("unipotent", tuple(factor))
-        return out
+        return cls(ring, None, n=n, factor=("unipotent", tuple(factor)))
 
     # -- arithmetic --------------------------------------------------------------
 

@@ -267,8 +267,6 @@ class Ring:
     def regular_rows(self, a: Vec) -> list[list[int]]:
         """`regular` of one element, as lists of rows built in Python: one
         element is too small for numpy calls to pay."""
-        if self.depth == 1:
-            return [[a[0] % self.q]]  # C = [[[1]]], as in mul_vec
         d, q = self.depth, self.q
         R = [[0] * d for _ in range(d)]
         for k, i, j, c in self._terms:

@@ -4,9 +4,8 @@ A basic torus element of the residue picture acts on the generator of the
 first simple root by a unit r and fixes the other simple-root generators.
 The lift realizes this action as a genuine diagonal element over S = R or
 over S = R[y]/(y^m - r), as a product of h_{alpha_i} factors whose exponents
-are the first fundamental coweight cleared of denominators.  The factors'
-characters are multiplied value by value, so the lift's matrix is one
-`torus_diagonal` walk, and its inverse another, of the inverted values.
+are the first fundamental coweight cleared of denominators.  Their characters
+multiply value by value, so t and t^-1 are one `torus_diagonal` walk each.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .group import GroupElement, torus_diagonal, x_elem
+from .group import GroupElement, h_alpha_values, torus_diagonal, x_elem
 from .matrices import Mat
 from .rings import ExtRing, Ring, RingElem, RingError, adjoin_root, is_unit
 from .roots import Root, RootSystem, build_root_system, solve_rational
@@ -62,11 +61,9 @@ def build_lift(sys: RootSystem, base: Ring, r: RingElem) -> TorusLift:
         raise RingError("the realized torus value must be a unit")
     m, exps = lift_exponents(sys)
     S, s = (base, r) if m == 1 else adjoin_root(base, r, m)
-    # h_{alpha_i}(u) takes u^<a_j, alpha_i> on a_j (`group.h_alpha`)
     word, chi = [], [S.one] * sys.rank
     for alpha, e in zip(sys.simple, exps):
-        u = s**e
-        word.append(("h", tuple(u ** sys.pairing(a, alpha) for a in sys.simple)))
+        word.append(("h", h_alpha_values(sys, alpha, s**e)))
         chi = [c * v for c, v in zip(chi, word[-1][1])]
     t = GroupElement(sys, S, Mat.diagonal(S, torus_diagonal(sys, S, tuple(chi))), tuple(word))
     return TorusLift(system=sys.name, base=base, ring=S, r=r, root_power=m, exponents=exps,
