@@ -274,19 +274,9 @@ def designated_positions(sys: RootSystem) -> PositionTable:
 # ---------------------------------------------------------------------------
 
 
-def recover(
-    sys: RootSystem,
-    X: GroupElement | Mat,
-    *,
-    require_exact: bool = True,
-) -> FactoredElement:
-    """Read the n + 1 designated cells of X and solve for the parameters.
-
-    With require_exact the recovered factorization must reproduce X entirely
-    (raises RecoveryError otherwise); without it only the designated cells are
-    matched, which is the gauge used by the standardness pipeline.
-    """
-    mat = X.mat if isinstance(X, GroupElement) else X
+def _solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
+    """Sweep until the designated cells of W = compose(f)^-1 mat match the
+    identity; return f and the last sweep's W."""
     ring = mat.ring
     if not ring.local:
         raise RecoveryError("recovery needs a local ring")
@@ -301,9 +291,7 @@ def recover(
 
     f = FactoredElement.trivial(sys, ring)
     dvals = [ring.one] * (l + 1)
-    sweeps = (ring.nilpotency or 1) + 2
-    converged = False
-    for _ in range(sweeps):
+    for _ in range((ring.nilpotency or 1) + 2):
         W = _compose_inverse_mat(sys, f) @ mat
         stable = True
         tnew, unew = list(f.t), list(f.u)
@@ -322,8 +310,7 @@ def recover(
                     else:
                         unew[cell.index] = unew[cell.index] + incr
         if stable:
-            converged = True
-            break
+            return f, W
         lam_s = []
         for row in table.exponent_inverse:
             v = ring.one
@@ -332,20 +319,28 @@ def recover(
                     v = v * d**e
             lam_s.append(v)
         f = FactoredElement(ring=ring, lam=lam_s[0], s=tuple(lam_s[1:]), t=tuple(tnew), u=tuple(unew))
-    if not converged:
-        raise RecoveryError("recovery did not converge; not in normal form")
-    if require_exact and compose(sys, f).mat != mat:
+    raise RecoveryError("recovery did not converge; not in normal form")
+
+
+def recover(sys: RootSystem, X: GroupElement | Mat) -> FactoredElement:
+    """Read the n + 1 designated cells of X and solve for the parameters.
+
+    The recovered factorization must reproduce X entirely; RecoveryError
+    otherwise.
+    """
+    mat = X.mat if isinstance(X, GroupElement) else X
+    f, _ = _solve_cells(sys, mat)
+    if compose(sys, f).mat != mat:
         raise RecoveryError("matrix is not in the big-cell normal form")
     return f
 
 
 def gauge_normal_form(sys: RootSystem, C: GroupElement) -> tuple[GroupElement, GroupElement]:
     """Return (D, C') with D in normal form, C' = D^{-1} C and C' matching the
-    identity at every designated cell."""
-    f = recover(sys, C, require_exact=False)
-    D = compose(sys, f)
-    Cp = GroupElement(sys, C.ring, _compose_inverse_mat(sys, f) @ C.mat, None)
-    return D, Cp
+    identity at every designated cell.  The cells are solved as in `recover`,
+    without its check that D = C: C' is the last sweep's residual W."""
+    f, W = _solve_cells(sys, C.mat)
+    return compose(sys, f), GroupElement(sys, C.ring, W, None)
 
 
 # ---------------------------------------------------------------------------

@@ -49,16 +49,13 @@ class GroupElement:
         return self.mat.is_identity()
 
     def inverse(self) -> "GroupElement":
+        """By the word, each factor inverted in reverse order, when there is
+        one; otherwise by `Mat.inv`."""
         if self.word is not None:
             inv = GroupElement.identity(self.sys, self.ring)
             for f in reversed(self.word):
                 inv = inv @ _factor_inverse(self.sys, self.ring, f)
             return inv
-        if self.mat.is_diagonal():
-            diag = [e.inv() for e in self.mat.diagonal_elems()]
-            return GroupElement(self.sys, self.ring, Mat.diagonal(self.ring, diag), None)
-        if self.ring.local and congruence_member(self):
-            return GroupElement(self.sys, self.ring, self.mat.neumann_inv(), None)
         return GroupElement(self.sys, self.ring, self.mat.inv(), None)
 
     def word_to_json(self) -> list:

@@ -122,9 +122,6 @@ class Mat:
     def __sub__(self, other: "Mat") -> "Mat":
         return Mat(self.ring, self.data - other.data)
 
-    def __neg__(self) -> "Mat":
-        return Mat(self.ring, -self.data)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Mat)
@@ -171,19 +168,6 @@ class Mat:
         A = ring.regular(self.data).transpose(0, 2, 1, 3).reshape(d * n, d * n)
         X = solve_mod(A.tolist(), np.eye(d * n, n, dtype=np.int64).tolist(), ring.q, ring.p)
         return Mat(ring, np.array(X, dtype=np.int64).reshape(d, n, n), reduce=False)
-
-    def neumann_inv(self) -> "Mat":
-        """Inverse of I - N with nilpotent N; valid when self = I mod radical."""
-        ring = self.ring
-        if ring.nilpotency is None:
-            raise RingError("neumann_inv needs a local ring")
-        eye = Mat.identity(ring, self.n)
-        N = eye - self
-        acc, power = eye, N
-        for _ in range(ring.nilpotency - 1):
-            acc = acc + power
-            power = power @ N
-        return acc
 
     # -- serialization ----------------------------------------------------------
 

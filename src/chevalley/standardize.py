@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import RecoveryError, designated_positions, gauge_normal_form
-from .group import GroupElement, congruence_member, graph_matrix, word_to_matrix, x_elem
+from .group import GroupElement, congruence_member, graph_matrix, word_to_matrix
 from .lie import SparseColumns, ad_x, ad_x_squared, ad_x_tables, structure_constants, t_matrix
 from .rings import RingError
 from .roots import RootSystem, neg
@@ -205,15 +205,6 @@ def kernel_dimension(lin: LinSystem) -> int:
 # ---------------------------------------------------------------------------
 
 
-def conjugation_defect(sys: RootSystem, C: GroupElement, alpha) -> tuple[GroupElement, bool]:
-    """g_a with C x_a(1) C^{-1} = x_a(1) g_a, and whether g_a = I mod radical."""
-    ring = C.ring
-    one = ring.one
-    xa = x_elem(sys, ring, tuple(alpha), one)
-    g = xa.inverse() @ C @ xa @ C.inverse()
-    return g, congruence_member(g)
-
-
 @dataclass(frozen=True)
 class Certificate:
     verdict: str                      # "standard" | "nonstandard-or-outside-scope"
@@ -246,7 +237,8 @@ def standardness_certificate(
     C must be congruent to the identity modulo the radical, unless the caller
     supplies the residue-field data: a diagram automorphism name and a word
     (already lifted to the ring) whose product g' satisfies C = A_delta g' C'
-    with C' congruent to the identity.  The residue-field factorization
+    with C' congruent to the identity.  g' keeps that word, so it and A_delta
+    are both inverted by their words.  The residue-field factorization
     itself is out of scope here and must come from the caller.
     """
     ring = C.ring
@@ -254,9 +246,9 @@ def standardness_certificate(
         raise RingError("certificates need a local base ring")
     work = C
     if delta is not None or residue_word is not None:
-        g_prime = word_to_matrix(sys, ring, residue_word or ())
+        word = tuple(residue_word or ())
+        lifted = GroupElement(sys, ring, word_to_matrix(sys, ring, word), word)
         a_delta = graph_matrix(sys, ring, delta or "identity")
-        lifted = GroupElement(sys, ring, g_prime, None)
         work = lifted.inverse() @ a_delta.inverse() @ C
     if not congruence_member(work):
         return Certificate(

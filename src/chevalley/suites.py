@@ -250,14 +250,6 @@ def suite_graph(system_token: str, ring_desc: str) -> dict:
     return _finish(rep, failures, total)
 
 
-def random_congruence_word(sys: RootSystem, ring: Ring, rng, length: int = 30) -> GroupElement:
-    g = GroupElement.identity(sys, ring)
-    for _ in range(length):
-        r = sys.roots[rng.randrange(len(sys.roots))]
-        g = g @ x_elem(sys, ring, r, ring.random_radical(rng))
-    return g
-
-
 def eq3_element(sys: RootSystem, ring: Ring, rng) -> GroupElement:
     """Random congruence element in torus * positive * negative factor order:
     the normal form of a random factorization (its scalar factor is

@@ -16,15 +16,24 @@ from chevalley.decompose import (
     gauge_normal_form,
     recover,
 )
-from chevalley.group import GroupElement
+from chevalley.group import GroupElement, x_elem
 from chevalley.lie import SparseColumns, ad_x, ad_x_tables, h_index, root_index, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import RingError, make_ring
 from chevalley.roots import Root, RootSystem, add, neg, system
-from chevalley.suites import eq3_element, random_congruence_word, random_factored
+from chevalley.suites import eq3_element, random_factored
 
 A2 = system("A2")
 Z81 = make_ring("zmod:3^4")
+
+
+def random_congruence_word(sys: RootSystem, ring, rng, length: int = 30) -> GroupElement:
+    """A product of `length` generators x_r(t) with random roots r and t in the radical."""
+    g = GroupElement.identity(sys, ring)
+    for _ in range(length):
+        r = sys.roots[rng.randrange(len(sys.roots))]
+        g = g @ x_elem(sys, ring, r, ring.random_radical(rng))
+    return g
 
 
 def test_compose_trivial_is_identity():
@@ -235,23 +244,33 @@ def test_recover_rejects_outside_normal_form():
         recover(A2, bad)
 
 
-def test_gauge_matches_designated_cells():
+@pytest.mark.parametrize("ring_desc", ["zmod:3^3", "gf:3", "trunc:3:3"])
+@pytest.mark.parametrize("sys_name", ["A2", "D4"])
+def test_gauge_matches_designated_cells(sys_name, ring_desc):
+    sy, ring = system(sys_name), make_ring(ring_desc)
     rng = random.Random(45)
-    g = eq3_element(A2, Z81, rng)
-    D, resid = gauge_normal_form(A2, g)
+    g = eq3_element(sy, ring, rng)
+    D, resid = gauge_normal_form(sy, g)
     assert resid.is_identity()
     assert D.mat == g.mat
     # perturb outside the designated cells: the gauge residual is exactly
-    # the perturbation, and designated cells of the residual stay identity
-    j = Z81.from_int(27)
-    pert = GroupElement.identity(A2, Z81).mat.with_entry(0, 2, j)
-    D2, resid2 = gauge_normal_form(A2, GroupElement(A2, Z81, g.mat @ pert, None))
+    # the perturbation, and designated cells of the residual stay identity;
+    # j is a nonzero element of J^(k - 1), so j J = 0 (j = 1 over gf:p)
+    j = ring.eps ** (ring.k - 1)
+    pert = Mat.identity(ring, sy.n).with_entry(0, 2, j)
+    C2 = GroupElement(sy, ring, g.mat @ pert, None)
+    D2, resid2 = gauge_normal_form(sy, C2)
     assert not resid2.is_identity()
     assert resid2.mat == pert
-    table = designated_positions(A2)
-    eye = Mat.identity(Z81, A2.n)
+    table = designated_positions(sy)
+    eye = Mat.identity(ring, sy.n)
     for c in table.cells:
         assert resid2.mat.get(c.row, c.col) == eye.get(c.row, c.col)
+    # C' is exactly D^-1 C, and D C' = C
+    for C, D_, resid_ in ((g, D, resid), (C2, D2, resid2)):
+        f = recover(sy, D_)
+        assert resid_.mat == decompose._compose_inverse_mat(sy, f) @ C.mat
+        assert D_.mat @ resid_.mat == C.mat
 
 
 def test_factored_element_json_round_trip():

@@ -154,15 +154,15 @@ def test_word_matrix_consistency_random_words():
 
 def test_inverse_without_word_paths():
     rng = random.Random(8)
-    # congruence element: series inverse
+    # with no word every element is inverted by Mat.inv: a congruence element,
     g = x_elem(A2, Z81, (1, 1), Z81.from_int(3)) @ x_elem(A2, Z81, (-1, 0), Z81.from_int(6))
     bare = GroupElement(A2, Z81, g.mat, None)
     assert (bare @ bare.inverse()).is_identity()
-    # diagonal: entrywise inverse
+    # a diagonal one
     h = h_alpha(A2, Z81, (1, 0), Z81.random_unit(rng))
     bare = GroupElement(A2, Z81, h.mat, None)
     assert (bare @ bare.inverse()).is_identity()
-    # generic unit matrix: elimination
+    # and a generic unit matrix
     w = x_elem(A2, Z81, (1, 0), Z81.one) @ h
     bare = GroupElement(A2, Z81, w.mat, None)
     assert (bare @ bare.inverse()).is_identity()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chevalley import standardize
 from chevalley.decompose import compose, designated_positions
-from chevalley.group import GroupElement, graph_matrix, x_elem
+from chevalley.group import GroupElement, congruence_member, graph_matrix, word_to_matrix, x_elem
 from chevalley.lie import ad_x, structure_constants, t_matrix
 from chevalley.matrices import Mat
 from chevalley.rings import make_ring
@@ -15,7 +15,6 @@ from chevalley.roots import neg, system
 from chevalley.standardize import (
     build_commutation_system,
     build_linearized_system,
-    conjugation_defect,
     kernel_dimension,
     rank_mod_p,
     standardness_certificate,
@@ -24,6 +23,13 @@ from chevalley.suites import eq3_element, random_factored
 
 A2 = system("A2")
 Z27 = make_ring("zmod:3^3")
+
+
+def conjugation_defect(sys, C, alpha):
+    """g_a with C x_a(1) C^{-1} = x_a(1) g_a, and whether g_a = I mod radical."""
+    xa = x_elem(sys, C.ring, tuple(alpha), C.ring.one)
+    g = xa.inverse() @ C @ xa @ C.inverse()
+    return g, congruence_member(g)
 
 
 def coo(M):
@@ -294,8 +300,6 @@ def test_certificate_with_supplied_residue_data():
     a_delta = graph_matrix(A2, Z27, delta)
     # residue-level witness: a unipotent word lifted to the ring
     word = (("x", (1, 0), Z27.one), ("x", (0, 1), Z27.from_int(2)))
-    from chevalley.group import word_to_matrix
-
     gp = GroupElement(A2, Z27, word_to_matrix(A2, Z27, word), None)
     C = a_delta @ gp @ inner
     cert = standardness_certificate(A2, C, delta=delta, residue_word=word)
@@ -304,6 +308,20 @@ def test_certificate_with_supplied_residue_data():
     obj = cert.to_json()
     assert obj["verdict"] == "standard"
     assert obj["residual_norm_zero"] is True
+
+
+@pytest.mark.parametrize("sys_name,delta", [("A2", "flip"), ("D4", "triality")])
+def test_certificate_inverts_residue_data_by_word(monkeypatch, sys_name, delta):
+    sy = system(sys_name)
+    rng = random.Random(7)
+    inner = compose(sy, random_factored(sy, Z27, rng))
+    # a residue-level word that is not congruent to the identity
+    word = tuple(("x", s, Z27.from_int(i + 1)) for i, s in enumerate(sy.simple))
+    C = graph_matrix(sy, Z27, delta) @ GroupElement(sy, Z27, word_to_matrix(sy, Z27, word), None) @ inner
+    monkeypatch.setattr(Mat, "inv", lambda self: pytest.fail("Mat.inv reached"))
+    cert = standardness_certificate(sy, C, delta=delta, residue_word=list(word))
+    assert cert.standard
+    assert cert.delta == delta
 
 
 def test_certificate_over_truncated_polynomials():
