@@ -205,10 +205,27 @@ def h_alpha(sys: RootSystem, ring: Ring, alpha: Root, u: RingElem) -> GroupEleme
     return h_elem(sys, Character(ring, h_alpha_values(sys, alpha, u)))
 
 
+@lru_cache(maxsize=None)
+def _t_k_powers(kind: str, rank: int, k: int) -> tuple[int, ...]:
+    """The power of x on each diagonal position of t_k(x): p_k and -p_k on
+    the pair of the positive root p, 0 on the Cartan rows."""
+    sys = build_root_system(kind, rank)
+    return tuple(e for p in sys.positive for e in (p[k], -p[k])) + (0,) * rank
+
+
 def t_k(sys: RootSystem, ring: Ring, k: int, x: RingElem) -> GroupElement:
-    """Torus element whose character is x on alpha_k and 1 on the other simples."""
+    """Torus element whose character is x on alpha_k and 1 on the other
+    simples: its diagonal is x^{p_k} and x^{-p_k} on the pair of each
+    positive root p, read from a table of the powers of x and of x^-1."""
+    if not 0 <= k < sys.rank:
+        raise ValueError(f"simple-root index {k} out of range")
+    powers = _t_k_powers(sys.kind, sys.rank, k)
+    x_inv = x.inv()  # the unit check: RingError when x is no unit
+    table = {0: ring.one}
+    for e in range(1, max(powers) + 1):
+        table[e], table[-e] = table[e - 1] * x, table[1 - e] * x_inv
     values = tuple(x if i == k else ring.one for i in range(sys.rank))
-    return h_elem(sys, Character(ring, values))
+    return GroupElement(sys, ring, Mat.diagonal(ring, [table[e] for e in powers]), (("h", values),))
 
 
 def scalar_elem(sys: RootSystem, ring: Ring, lam: RingElem) -> GroupElement:

@@ -6,21 +6,30 @@ products over Z/p^k, F_p[eps]/(eps^k) and extensions are all a few integer
 matmuls reduced once.
 
 A matrix built by `Mat.diagonal` or `Mat.unipotent` records that structure as
-its factor, and a product with it on the right uses it: a diagonal scales the
-columns of the left operand (`Ring.mat_elemmul`), and I + sum s_k A_k (sparse
-integer A_k) adds s_k (M A_k) to the few columns A_k touches, as one fused
-step per term: the block becomes reduce(block + T_s (M A_k)), with T_s the
-depth x depth regular representation of s.  M A_k is left unreduced, so its
-entries are at most K (q - 1) in absolute value, K being A_k's largest column
-sum of |coefficient|; T_s (M A_k) then sums depth such products, and the step
-needs K * depth * (q - 1)^2 + q < 2^63, which `Mat.unipotent` checks for
-every term when it builds the factor.  Every other product is dense.  A
-generator keeps only its factor; its dense stack is that update applied to
-the identity, formed once, the first time `data` is read.
+its factor and keeps only the factor: its dense stack is formed once, the
+first time `data` is read, and is read-only.  A product uses a factor on
+either side where it can:
 
-`Mat.inv` works on every ring kind, extensions included: it solves the
-(depth n) x (depth n) matrix of X -> M X over Z/q with `rings.solve_mod`, and
-raises RingError exactly when M is singular.
+* a diagonal is its (depth, 1, n) stack of entries.  On the right it scales
+  the columns of the left operand, on the left it scales the rows of a dense
+  right operand: both are `Ring.mat_elemmul`, with the broadcast axis
+  swapped.  A product of two diagonals is the diagonal of their entrywise
+  product and forms no n x n stack.
+* a generator, I + sum s_k A_k (sparse integer A_k), on the right adds
+  s_k (M A_k) to the few columns A_k touches, as one fused step per term:
+  the block becomes reduce(block + T_s (M A_k)), with T_s the depth x depth
+  regular representation of s.  M A_k is left unreduced, so its entries are
+  at most K (q - 1) in absolute value, K being A_k's largest column sum of
+  |coefficient|; T_s (M A_k) then sums depth such products, and the step
+  needs K * depth * (q - 1)^2 + q < 2^63, which `Mat.unipotent` checks for
+  every term when it builds the factor.  Its dense stack is that update
+  applied to the identity, and `off_identity` reads the entries of M - I
+  straight from the factor.
+
+Every other product is dense.  `Mat.inv` works on every ring kind,
+extensions included: it solves the (depth n) x (depth n) matrix of
+X -> M X over Z/q with `rings.solve_mod`, and raises RingError exactly when
+M is singular.
 """
 
 from __future__ import annotations
@@ -46,7 +55,8 @@ class Mat:
 
     def __init__(self, ring: Ring, data: np.ndarray | None, *, reduce: bool = True, factor=None,
                  n: int | None = None):
-        """data None (n given) is a generator: `data` forms it from `factor`."""
+        """data None (n given) is a diagonal or a generator: `data` forms it
+        from `factor`."""
         self.ring = ring
         if data is not None:
             if reduce:
@@ -55,16 +65,23 @@ class Mat:
             data.setflags(write=False)
         self.n = n
         self._data = data
-        # ("diag", (depth, 1, n) stack) | ("unipotent", ((SparseColumns, T_s), ...))
+        # ("diag", read-only (depth, 1, n) stack) | ("unipotent", ((SparseColumns, T_s), ...))
         # with T_s the (depth, depth) regular representation of the scalar s
         self.factor = factor
 
     @property
     def data(self) -> np.ndarray:
-        """The read-only (depth, n, n) stack; a generator forms it here, once."""
+        """The read-only (depth, n, n) stack; a diagonal or a generator forms
+        it here, once."""
         if self._data is None:
-            self._data = _unipotent_right(self.ring, Mat.identity(self.ring, self.n).data, self.factor[1])
-            self._data.setflags(write=False)
+            kind, parts = self.factor
+            if kind == "diag":
+                data = np.zeros((self.ring.depth, self.n, self.n), dtype=np.int64)
+                data[:, np.arange(self.n), np.arange(self.n)] = parts[:, 0]
+            else:
+                data = _unipotent_right(self.ring, Mat.identity(self.ring, self.n).data, parts)
+            data.setflags(write=False)
+            self._data = data
         return self._data
 
     # -- constructors ----------------------------------------------------------
@@ -81,13 +98,15 @@ class Mat:
 
     @classmethod
     def diagonal(cls, ring: Ring, elems) -> "Mat":
-        dvec = np.array([e.vec for e in elems], dtype=np.int64).T
-        n = dvec.shape[1]
-        data = np.zeros((ring.depth, n, n), dtype=np.int64)
-        data[:, np.arange(n), np.arange(n)] = dvec
-        dvec = dvec[:, None, :]
+        """The diagonal matrix of the ring elements `elems`; only the factor
+        is built."""
+        dvec = np.array([e.vec for e in elems], dtype=np.int64).T[:, None, :]
+        return cls._diagonal(ring, dvec)
+
+    @classmethod
+    def _diagonal(cls, ring: Ring, dvec: np.ndarray) -> "Mat":
         dvec.setflags(write=False)
-        return cls(ring, data, reduce=False, factor=("diag", dvec))
+        return cls(ring, None, n=dvec.shape[2], factor=("diag", dvec))
 
     @classmethod
     def unipotent(cls, ring: Ring, n: int, terms) -> "Mat":
@@ -109,10 +128,16 @@ class Mat:
         ring = self.ring
         if other.ring != ring or other.n != self.n:
             raise RingError(f"cannot multiply {self!r} by {other!r}")
+        left = self.factor[1] if self.factor is not None and self.factor[0] == "diag" else None
         if other.factor is None:
+            if left is not None:
+                # a row scaling: the factor as a (depth, n, 1) column scales row i by d_i
+                return Mat(ring, ring.mat_elemmul(other.data, left.transpose(0, 2, 1)), reduce=False)
             return Mat(ring, ring.mat_mul(self.data, other.data))
         kind, parts = other.factor
         if kind == "diag":
+            if left is not None:
+                return Mat._diagonal(ring, ring.mat_elemmul(left, parts))
             return Mat(ring, ring.mat_elemmul(self.data, parts), reduce=False)
         return Mat(ring, _unipotent_right(ring, self.data, parts), reduce=False)
 
@@ -144,6 +169,28 @@ class Mat:
 
     def diagonal_elems(self) -> list[RingElem]:
         return [self.get(i, i) for i in range(self.n)]
+
+    def diagonal_stack(self) -> np.ndarray:
+        """The (depth, n) entries of a matrix built as a diagonal, read from
+        its factor."""
+        if self.factor is None or self.factor[0] != "diag":
+            raise RingError(f"{self!r} was not built as a diagonal")
+        return self.factor[1][:, 0]
+
+    def off_identity(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of a generator I + sum s A, read from its
+        factor: every position where some table A has a nonzero, and there
+        s times that coefficient as a (depth, count) stack.  Tables that
+        never share a position and stay off the diagonal, as the two of an
+        x_a(t) do, make these exactly the entries of M - I on its support."""
+        if self.factor is None or self.factor[0] != "unipotent":
+            raise RingError(f"{self!r} is not a generator")
+        parts = self.factor[1]
+        rows = np.concatenate([A.dst for A, _ in parts])
+        cols = np.concatenate([A.src for A, _ in parts])
+        # column 0 of T_s is s itself, s * 1
+        values = np.concatenate([Ts[:, :1] * A.coeff for A, Ts in parts], axis=1)
+        return rows, cols, self.ring.mat_mod(values)
 
     def is_identity(self) -> bool:
         return self == Mat.identity(self.ring, self.n)

@@ -100,6 +100,39 @@ def test_character_rejects_non_units():
         Character(Z81, (Z81.from_int(3), Z81.one))
 
 
+def reference_t_k(sys, ring, k, x):
+    """The deleted walk of `t_k`, verbatim: the torus element of the character
+    that is x on alpha_k and 1 on the other simples."""
+    values = tuple(x if i == k else ring.one for i in range(sys.rank))
+    return h_elem(sys, Character(ring, values))
+
+
+TORUS_RINGS = ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3", "ext:trunc:3:2:1,1:2"]
+
+
+@pytest.mark.parametrize("desc", TORUS_RINGS)
+@pytest.mark.parametrize("token", ["A2", "A5", "D4", "D6", "E6", "E7", "E8"])
+def test_t_k_matches_character_walk(token, desc):
+    # E8's root coefficients reach 6, so its power tables are the longest
+    sys, ring = system(token), make_ring(desc)
+    rng = random.Random(f"{token}/{desc}")
+    for k in range(sys.rank):
+        x = ring.random_unit(rng)
+        got, want = t_k(sys, ring, k, x), reference_t_k(sys, ring, k, x)
+        assert got.word == want.word
+        assert got.mat == want.mat
+        assert got.mat.factor[0] == "diag"
+    with pytest.raises(RingError):
+        t_k(sys, ring, sys.rank - 1, ring.random_radical(rng))
+
+
+@pytest.mark.parametrize("k", [-1, 2, 5])
+def test_t_k_rejects_an_index_out_of_range(k):
+    ring = make_ring("zmod:3^3")
+    with pytest.raises(ValueError, match="out of range"):
+        t_k(A2, ring, k, ring.from_int(2))
+
+
 def test_commutator_identities_a2():
     rng = random.Random(4)
     t = Z81.random_element(rng)

@@ -1,11 +1,12 @@
-"""Structured right products must equal the dense ring kernel exactly.
+"""Structured products must equal the dense ring kernel exactly.
 
 `Mat.__matmul__` applies a right operand built by `x_elem` as a sparse column
-update and one built by `Mat.diagonal` as a column scaling.  Here both are
+update and one built by `Mat.diagonal` as a column scaling; a diagonal on the
+left scales the rows, and two diagonals multiply entrywise.  Here each is
 compared with `Ring.mat_mul` on the same data, for every ring kind, including
-a prime modulus at the top of the int64-exact range.  A generator forms its
-dense matrix only when it is read; that matrix is checked against the dense
-scatter `Mat.unipotent` used to build for every generator.
+a prime modulus at the top of the int64-exact range.  A generator or a
+diagonal forms its dense matrix only when it is read; that matrix is checked
+against the dense scatter its constructor used to build.
 """
 
 import random
@@ -192,3 +193,67 @@ def test_generators_used_as_right_factors_are_never_made_dense(monkeypatch):
     # recover and 2m per recovery sweep
     assert len(built) > 1 + 4 * sys.m
     assert all(M._data is None for M in built)
+
+
+def reference_diagonal_data(ring, elems):
+    """The deleted eager scatter of `Mat.diagonal`, verbatim."""
+    dvec = np.array([e.vec for e in elems], dtype=np.int64).T
+    n = dvec.shape[1]
+    data = np.zeros((ring.depth, n, n), dtype=np.int64)
+    data[:, np.arange(n), np.arange(n)] = dvec
+    return data
+
+
+def random_diagonal_elems(ring, n, seed):
+    return random_mat(ring, n, seed).diagonal_elems()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SYSTEMS), st.sampled_from(GENERATOR_RINGS), st.integers(0, 2**32 - 1))
+def test_lazy_diagonal_data_equals_dense_scatter(token, desc, seed):
+    sys, ring = system(token), make_ring(desc)
+    elems = random_diagonal_elems(ring, sys.n, seed)
+    D = Mat.diagonal(ring, elems)
+    assert D._data is None
+    data = D.data
+    assert np.array_equal(data, reference_diagonal_data(ring, elems))
+    assert D.data is data
+    assert np.array_equal(D.diagonal_stack(), np.array([x.vec for x in elems]).T)
+    assert not data.flags.writeable
+    with pytest.raises(ValueError):
+        data[0, 0, 0] = 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SYSTEMS), st.sampled_from(GENERATOR_RINGS), st.integers(0, 2**32 - 1),
+       st.integers(0, 10**9))
+def test_diagonal_on_the_left_equals_dense(token, desc, seed, pick):
+    sys, ring = system(token), make_ring(desc)
+    d, e = random_diagonal_elems(ring, sys.n, seed), random_diagonal_elems(ring, sys.n, seed + 1)
+    ref = reference_diagonal_data(ring, d)
+    M = random_mat(ring, sys.n, seed + 2)
+    X = x_elem(sys, ring, sys.roots[pick % len(sys.roots)], random_mat(ring, 1, seed + 3).get(0, 0)).mat
+
+    DE = Mat.diagonal(ring, d) @ Mat.diagonal(ring, e)
+    assert DE.factor[0] == "diag" and DE._data is None
+    assert DE == Mat(ring, ring.mat_mul(ref, reference_diagonal_data(ring, e)))
+    assert Mat.diagonal(ring, d) @ M == Mat(ring, ring.mat_mul(ref, M.data))
+    assert Mat.diagonal(ring, d) @ X == Mat(ring, ring.mat_mul(ref, X.data))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case)
+def test_off_identity_is_the_support_of_x_minus_identity(args):
+    token, desc, seed, pick = args
+    sys, ring = system(token), make_ring(desc)
+    X = x_elem(sys, ring, sys.roots[pick % len(sys.roots)], random_mat(ring, 1, seed).get(0, 0)).mat
+    rows, cols, values = X.off_identity()
+    assert X._data is None
+    rest = ring.mat_mod(X.data - Mat.identity(ring, sys.n).data)
+    assert np.array_equal(rest[:, rows, cols], values)
+    rest[:, rows, cols] = 0
+    assert not rest.any()
+    with pytest.raises(RingError):
+        Mat.identity(ring, sys.n).off_identity()
+    with pytest.raises(RingError):
+        X.diagonal_stack()

@@ -1,14 +1,17 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley.group import GroupElement, h_alpha, word_to_matrix, x_elem
+from chevalley.group import GroupElement, h_alpha, torus_diagonal, word_to_matrix, x_elem
+from chevalley.lie import ad_x_tables, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import RingError, make_ring
-from chevalley.torusext import build_lift, coweight_exponents, lift_exponents, verify_lift
+from chevalley.torusext import (LiftCheck, LiftReport, build_lift, coweight_exponents, lift_exponents,
+                                verify_lift)
 from chevalley.roots import system
 
 Z125 = make_ring("zmod:5^3")
@@ -27,7 +30,7 @@ def reference_conjugate_by_diagonal(self, diag, inv=None):
 
 
 def conjugate(t: Mat, X: Mat) -> Mat:
-    """t X t^-1 as `verify_lift` forms it."""
+    """t X t^-1 as dense products, the way `reference_verify_lift` forms it."""
     return t @ X @ Mat.diagonal(t.ring, [e.inv() for e in t.diagonal_elems()])
 
 
@@ -181,3 +184,74 @@ def test_lift_equals_product_of_h_alpha_and_its_word(token, base):
     assert lift.element.mat == old.mat
     assert lift.element.mat == word_to_matrix(sys, S, lift.element.word)
     assert lift.character == (lift.embed(lift.r),) + (S.one,) * (sys.rank - 1)
+
+
+def reference_verify_lift(lift, sys, rng, *, general_roots=20):
+    """The deleted dense `verify_lift`, verbatim: t x_a(u) t^-1 formed by n x n
+    products and compared with x_a(r^k u) in full."""
+    S, base = lift.ring, lift.base
+    t = lift.element.mat
+    t_inv = Mat.diagonal(S, torus_diagonal(sys, S, tuple(v.inv() for v in lift.character)))
+    checks: list[LiftCheck] = []
+    sample = list(sys.simple)
+    others = [r for r in sys.roots if r not in sys.simple]
+    kmax = max(others, key=lambda r: r[0])
+    sample.append(kmax)
+    for _ in range(max(0, general_roots - 1)):
+        sample.append(others[rng.randrange(len(others))])
+    for root in sample:
+        k = root[0]
+        u = base.random_element(rng)
+        x = x_elem(sys, S, root, lift.embed(u))
+        lhs = t @ x.mat @ t_inv
+        rhs = x_elem(sys, S, root, lift.embed((lift.r**k) * u))
+        checks.append(LiftCheck(root=root, expected_power=k, ok=lhs == rhs.mat))
+    return LiftReport(system=sys.name, checks=tuple(checks))
+
+
+def corrupted_lifts(lift, sys):
+    """The lift itself and three broken copies: a wrong r; t and its
+    character both off by 2 on alpha_2; and a character that is not t's."""
+    S = lift.ring
+    chi = list(lift.character)
+    chi[1] = chi[1] * S.from_int(2)
+    chi = tuple(chi)
+    t = GroupElement(sys, S, Mat.diagonal(S, torus_diagonal(sys, S, chi)), (("h", chi),))
+    return {
+        "good": lift,
+        "wrong r": replace(lift, r=lift.r * lift.base.from_int(2)),
+        "perturbed character": replace(lift, character=chi, element=t),
+        "mismatched character": replace(lift, character=chi),
+    }
+
+
+# lifts into an extension over zmod, gf and trunc bases (m = 4, 3, 2, 2)
+# and one in the base ring (E7, m = 1)
+@pytest.mark.parametrize("token,base", [("A3", "gf:7"), ("E6", "zmod:5^2"), ("D4", "trunc:3:2"),
+                                        ("D5", "zmod:3^2"), ("E7", "zmod:5^2")])
+def test_support_check_agrees_with_dense_reference(token, base):
+    sys, ring = system(token), make_ring(base)
+    lift = build_lift(sys, ring, ring.random_unit(random.Random(token)))
+    for name, case in corrupted_lifts(lift, sys).items():
+        got = verify_lift(case, sys, random.Random(11), general_roots=8)
+        want = reference_verify_lift(case, sys, random.Random(11), general_roots=8)
+        assert [c.root for c in got.checks] == [c.root for c in want.checks]
+        assert [c.ok for c in got.checks] == [c.ok for c in want.checks], name
+        oks = {c.ok for c in got.checks}
+        # a wrong r shows on roots with an alpha_1 coefficient, a perturbed
+        # character on those with an alpha_2 one, a mismatched one everywhere
+        assert oks == {"good": {True}, "mismatched character": {False}}.get(name, {True, False}), name
+
+
+@pytest.mark.parametrize("token", ["A2", "A4", "A8", "D4", "D6", "D8", "E6", "E7", "E8"])
+def test_generator_tables_stay_off_the_diagonal_and_apart(token):
+    # so the entries `Mat.off_identity` reads from x_a(t)'s two tables are
+    # off the diagonal and never need summing
+    sys = system(token)
+    N = structure_constants(sys)
+    for r in sys.roots:
+        X, X2 = ad_x_tables(sys, N, r)
+        cells = [set(zip(A.dst.tolist(), A.src.tolist())) for A in (X, X2)]
+        assert len(cells[0]) == len(X.dst) and len(cells[1]) == len(X2.dst)
+        assert not cells[0] & cells[1]
+        assert all(i != j for i, j in cells[0] | cells[1])
