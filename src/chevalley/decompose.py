@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .group import GroupElement, scalar_elem, t_k, torus_diagonal, x_elem
+from .group import GroupElement, _x_mat, scalar_elem, t_k, torus_diagonal, x_elem
 from .lie import ad_x_tables, h_index, root_index, structure_constants
 from .matrices import Mat
 from .rings import Ring, RingElem, RingError, is_unit
@@ -111,12 +111,14 @@ def compose(sys: RootSystem, f: FactoredElement) -> GroupElement:
 
 
 def _compose_inverse_mat(sys: RootSystem, f: FactoredElement) -> Mat:
+    """compose(f)^-1 as a matrix: compose's word reversed, each factor
+    inverted; only the matrices of the generators are built."""
     ring = f.ring
     out = Mat.identity(ring, sys.n)
     for i in reversed(range(sys.m)):
-        out = out @ x_elem(sys, ring, neg(sys.positive[i]), -f.u[i]).mat
+        out = out @ _x_mat(sys, ring, neg(sys.positive[i]), -f.u[i])
     for i in reversed(range(sys.m)):
-        out = out @ x_elem(sys, ring, sys.positive[i], -f.t[i]).mat
+        out = out @ _x_mat(sys, ring, sys.positive[i], -f.t[i])
     inv = FactoredElement(
         ring=ring,
         lam=f.lam.inv(),
@@ -276,7 +278,13 @@ def designated_positions(sys: RootSystem) -> PositionTable:
 
 def _solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
     """Sweep until the designated cells of W = compose(f)^-1 mat match the
-    identity; return f and the last sweep's W."""
+    identity; return f and the last sweep's W.
+
+    f starts trivial, so the first W is `mat` itself and the first sweep
+    reads its cells with no product; each later W is formed after f has been
+    updated.  A normal-form input is congruent to the identity mod J, and
+    each sweep gains one power of J, so over a ring of nilpotency k it takes
+    at most k - 1 product sweeps."""
     ring = mat.ring
     if not ring.local:
         raise RecoveryError("recovery needs a local ring")
@@ -289,10 +297,11 @@ def _solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
         if not ring.is_unit_vec(ring.from_int(cell.lead).vec):  # pragma: no cover - guarded by design
             raise RecoveryError(f"leading coefficient {cell.lead} is not a unit")
 
-    f = FactoredElement.trivial(sys, ring)
+    f, W = FactoredElement.trivial(sys, ring), mat
     dvals = [ring.one] * (l + 1)
-    for _ in range((ring.nilpotency or 1) + 2):
-        W = _compose_inverse_mat(sys, f) @ mat
+    for sweep in range((ring.nilpotency or 1) + 2):
+        if sweep:
+            W = _compose_inverse_mat(sys, f) @ mat
         stable = True
         tnew, unew = list(f.t), list(f.u)
         for cell in table.cells:
@@ -325,7 +334,8 @@ def _solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
 def recover(sys: RootSystem, X: GroupElement | Mat) -> FactoredElement:
     """Read the n + 1 designated cells of X and solve for the parameters.
 
-    The recovered factorization must reproduce X entirely; RecoveryError
+    The first residual the sweeps read is X itself (`_solve_cells`).  The
+    recovered factorization must reproduce X entirely; RecoveryError
     otherwise.
     """
     mat = X.mat if isinstance(X, GroupElement) else X
@@ -338,7 +348,8 @@ def recover(sys: RootSystem, X: GroupElement | Mat) -> FactoredElement:
 def gauge_normal_form(sys: RootSystem, C: GroupElement) -> tuple[GroupElement, GroupElement]:
     """Return (D, C') with D in normal form, C' = D^{-1} C and C' matching the
     identity at every designated cell.  The cells are solved as in `recover`,
-    without its check that D = C: C' is the last sweep's residual W."""
+    without its check that D = C: C' is the last sweep's residual W, which
+    is C itself when C's cells already match the identity."""
     f, W = _solve_cells(sys, C.mat)
     return compose(sys, f), GroupElement(sys, C.ring, W, None)
 

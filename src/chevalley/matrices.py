@@ -16,15 +16,17 @@ either side where it can:
   swapped.  A product of two diagonals is the diagonal of their entrywise
   product and forms no n x n stack.
 * a generator, I + sum s_k A_k (sparse integer A_k), on the right adds
-  s_k (M A_k) to the few columns A_k touches, as one fused step per term:
-  the block becomes reduce(block + T_s (M A_k)), with T_s the depth x depth
-  regular representation of s.  M A_k is left unreduced, so its entries are
-  at most K (q - 1) in absolute value, K being A_k's largest column sum of
-  |coefficient|; T_s (M A_k) then sums depth such products, and the step
-  needs K * depth * (q - 1)^2 + q < 2^63, which `Mat.unipotent` checks for
-  every term when it builds the factor.  Its dense stack is that update
-  applied to the identity, and `off_identity` reads the entries of M - I
-  straight from the factor.
+  sum s_k (M A_k) to the columns the A_k touch, as one block update: the
+  columns of M in the sorted union of the terms' columns are gathered once,
+  each term adds T_s (M A_k) at its positions in that block, with T_s the
+  depth x depth regular representation of s, and the block is reduced once
+  and written back once.  M A_k is left unreduced, so its entries are at
+  most K_k (q - 1) in absolute value, K_k being A_k's largest column sum of
+  |coefficient|; T_s (M A_k) sums depth such products, so an entry of the
+  block is at most sum_k K_k * depth * (q - 1)^2 + q, which must stay below
+  2^63.  `Mat.unipotent` checks that bound once, for all the terms, when it
+  builds the factor.  Its dense stack is that update applied to the
+  identity.
 
 Every other product is dense.  `Mat.inv` works on every ring kind,
 extensions included: it solves the (depth n) x (depth n) matrix of
@@ -34,20 +36,44 @@ M is singular.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain
+
 import numpy as np
 
 from .rings import Ring, RingElem, RingError, solve_mod
 
 
-def _unipotent_right(ring: Ring, M: np.ndarray, parts) -> np.ndarray:
-    """M (I + sum s A) = M + sum s (M A), over the columns A touches: one
-    product with T_s and one reduction per term (bound: module docstring)."""
+def _unipotent_right(ring: Ring, M: np.ndarray, update) -> np.ndarray:
+    """M (I + sum s A) = M + sum s (M A), as one block update over the
+    columns `cols` the terms touch (bound: module docstring)."""
+    cols, parts = update
+    block = M[..., cols]
+    for A, pos, Ts in parts:
+        block[..., pos] += np.einsum("ki,inc->knc", Ts, A.right_mul(M))
     out = M.copy()
-    shape = (ring.depth, -1)
-    for A, Ts in parts:
-        MA = A.right_mul(M)
-        out[..., A.cols] = ring.mat_mod(out[..., A.cols] + (Ts @ MA.reshape(shape)).reshape(MA.shape))
+    out[..., cols] = ring.mat_mod(block)
     return out
+
+
+@lru_cache(maxsize=None)
+def _block_layout(tables) -> tuple[np.ndarray, tuple]:
+    """The sorted union of the columns the `SparseColumns` tables touch, and
+    each table's column positions in it, once per table tuple.  A table
+    that touches every column of the block, as ad x_a does beside its
+    square, gets the positions as a slice: its update is in place.  Built
+    in Python: `np.unique` would import `numpy.ma`, 1.6 MB of resident
+    memory, for a few dozen integers."""
+    union = sorted(set().union(*(A.cols.tolist() for A in tables)))
+    at = {c: i for i, c in enumerate(union)}
+    cols = np.array(union, dtype=np.int64)
+    cols.setflags(write=False)
+    positions = []
+    for A in tables:
+        pos = np.array([at[c] for c in A.cols.tolist()], dtype=np.int64)
+        pos.setflags(write=False)
+        positions.append(slice(None) if len(pos) == len(cols) else pos)
+    return cols, tuple(positions)
 
 
 class Mat:
@@ -65,8 +91,10 @@ class Mat:
             data.setflags(write=False)
         self.n = n
         self._data = data
-        # ("diag", read-only (depth, 1, n) stack) | ("unipotent", ((SparseColumns, T_s), ...))
-        # with T_s the (depth, depth) regular representation of the scalar s
+        # ("diag", read-only (depth, 1, n) stack) | ("unipotent", (cols, ((A, pos, T_s), ...)))
+        # with A a SparseColumns table, pos its columns' positions in the sorted
+        # union cols of every term's columns, and T_s the (depth, depth)
+        # regular representation of the scalar s
         self.factor = factor
 
     @property
@@ -100,7 +128,8 @@ class Mat:
     def diagonal(cls, ring: Ring, elems) -> "Mat":
         """The diagonal matrix of the ring elements `elems`; only the factor
         is built."""
-        dvec = np.array([e.vec for e in elems], dtype=np.int64).T[:, None, :]
+        flat = np.fromiter(chain.from_iterable(e.vec for e in elems), dtype=np.int64)
+        dvec = flat.reshape(-1, ring.depth).T[:, None, :]
         return cls._diagonal(ring, dvec)
 
     @classmethod
@@ -112,15 +141,18 @@ class Mat:
     def unipotent(cls, ring: Ring, n: int, terms) -> "Mat":
         """I + sum of s * A over the (A, s) in `terms`: A an integer matrix given
         by its `SparseColumns`, s a ring element.  Only the factor is built."""
-        factor = []
-        for A, s in terms:
+        terms = tuple(terms)
+        for A, _ in terms:
             if A.n != n:
                 raise RingError(f"sparse {A.n} x {A.n} term in a {n} x {n} matrix")
-            ring.check_int64(A.col_bound * ring.depth, "a generator column update", ring.q)
+        ring.check_int64(sum(A.col_bound for A, _ in terms) * ring.depth, "a generator column update", ring.q)
+        cols, positions = _block_layout(tuple(A for A, _ in terms))
+        parts = []
+        for (A, s), pos in zip(terms, positions):
             Ts = np.array(ring.regular_rows(s.vec), dtype=np.int64)
             Ts.setflags(write=False)
-            factor.append((A, Ts))
-        return cls(ring, None, n=n, factor=("unipotent", tuple(factor)))
+            parts.append((A, pos, Ts))
+        return cls(ring, None, n=n, factor=("unipotent", (cols, tuple(parts))))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -176,21 +208,6 @@ class Mat:
         if self.factor is None or self.factor[0] != "diag":
             raise RingError(f"{self!r} was not built as a diagonal")
         return self.factor[1][:, 0]
-
-    def off_identity(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, values) of a generator I + sum s A, read from its
-        factor: every position where some table A has a nonzero, and there
-        s times that coefficient as a (depth, count) stack.  Tables that
-        never share a position and stay off the diagonal, as the two of an
-        x_a(t) do, make these exactly the entries of M - I on its support."""
-        if self.factor is None or self.factor[0] != "unipotent":
-            raise RingError(f"{self!r} is not a generator")
-        parts = self.factor[1]
-        rows = np.concatenate([A.dst for A, _ in parts])
-        cols = np.concatenate([A.src for A, _ in parts])
-        # column 0 of T_s is s itself, s * 1
-        values = np.concatenate([Ts[:, :1] * A.coeff for A, Ts in parts], axis=1)
-        return rows, cols, self.ring.mat_mod(values)
 
     def is_identity(self) -> bool:
         return self == Mat.identity(self.ring, self.n)

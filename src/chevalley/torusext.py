@@ -10,8 +10,9 @@ multiply value by value, so t and t^-1 are one `torus_diagonal` walk each.
 `verify_lift` compares t x_a(u) t^-1 with x_a(r^k u) on the support of
 x_a - I only.  Entry (i, j) of t x t^-1 is d_i x_ij d^-1_j, for the diagonals
 d of t and d^-1 of t^-1.  Both generators have the same support, which never
-meets the diagonal, and `Mat.off_identity` reads their entries there from
-their factors; the left side there is x's entry scaled by d[row] d^-1[col].
+meets the diagonal, and `_off_identity` reads their entries there from the
+tables of ad x_a and its square, with no generator built; the left side
+there is x's entry scaled by d[row] d^-1[col].
 On the diagonal the left side is d_i d^-1_i and the right side 1, which one
 check per lift covers; everywhere else both sides are 0.  So the comparison
 is exact, equals comparing the full matrices, and forms no n x n matrix.
@@ -25,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import GroupElement, h_alpha_values, torus_diagonal, x_elem
+from .group import GroupElement, h_alpha_values, torus_diagonal
+from .lie import ad_x_tables, structure_constants
 from .matrices import Mat
 from .rings import ExtRing, Ring, RingElem, RingError, adjoin_root, is_unit
 from .roots import Root, RootSystem, build_root_system, solve_rational
@@ -123,16 +125,36 @@ def verify_lift(
     sample.append(kmax)
     for _ in range(max(0, general_roots - 1)):
         sample.append(others[rng.randrange(len(others))])
-    entries, rhs = [], []
-    for root in sample:
-        u = base.random_element(rng)
-        entries.append(x_elem(sys, S, root, lift.embed(u)).mat.off_identity())
-        rhs.append(x_elem(sys, S, root, lift.embed((lift.r ** root[0]) * u)).mat.off_identity()[2])
+    us = [base.random_element(rng) for _ in sample]
+    rows, cols, sizes, (values, rhs) = _off_identity(
+        sys, S, sample, [lift.embed(u) for u in us],
+        [lift.embed((lift.r ** root[0]) * u) for root, u in zip(sample, us)])
     # the entries of every check side by side: two products for the lift
-    rows, cols, values = (np.concatenate(part, axis=-1) for part in zip(*entries))
     lhs = S.mat_elemmul(values, S.mat_elemmul(d[:, rows], d_inv[:, cols]))
-    same = (lhs == np.concatenate(rhs, axis=1)).all(axis=0)
-    ends = np.cumsum([len(r) for r, _, _ in entries])[:-1]
+    same = (lhs == rhs).all(axis=0)
     checks = tuple(LiftCheck(root=root, expected_power=root[0], ok=inverse_ok and bool(part.all()))
-                   for root, part in zip(sample, np.split(same, ends)))
+                   for root, part in zip(sample, np.split(same, np.cumsum(sizes)[:-1])))
     return LiftReport(system=sys.name, checks=checks)
+
+
+def _off_identity(sys: RootSystem, ring: Ring, roots, *params):
+    """The entries of x_r(t) - I where ad x_r or its square is nonzero, for
+    every root r of `roots` side by side, read from the two tables:
+    x_r(t) - I = t ad x_r + (t^2/2) (ad x_r)^2, and the tables never share a
+    position and stay off the diagonal, so x_r(t) - I is 0 elsewhere.
+
+    Returns (rows, cols, sizes, values): the positions, the number of
+    positions of each root, and for each sequence in `params` (one t per
+    root) the (depth, count) stack of entries, t or t^2/2 times the table's
+    coefficient."""
+    N = structure_constants(sys)
+    tables = [A for r in roots for A in ad_x_tables(sys, N, r)]
+    counts = [len(A.coeff) for A in tables]
+    coeff = np.concatenate([A.coeff for A in tables])
+
+    def entries(ts) -> np.ndarray:
+        scalars = np.array([v for t in ts for v in (t.vec, (t * t * ring.half).vec)], dtype=np.int64)
+        return ring.mat_mod(np.repeat(scalars.T, counts, axis=1) * coeff)
+
+    return (np.concatenate([A.dst for A in tables]), np.concatenate([A.src for A in tables]),
+            [a + b for a, b in zip(counts[::2], counts[1::2])], [entries(ts) for ts in params])

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from chevalley.decompose import (
 from chevalley.group import GroupElement, x_elem
 from chevalley.lie import SparseColumns, ad_x, ad_x_tables, h_index, root_index, structure_constants
 from chevalley.matrices import Mat
-from chevalley.rings import RingError, make_ring
+from chevalley.rings import RingError, is_unit, make_ring
 from chevalley.roots import Root, RootSystem, add, neg, system
 from chevalley.suites import eq3_element, random_factored
 
@@ -242,6 +243,98 @@ def test_recover_rejects_outside_normal_form():
     bad = g.mat @ GroupElement.identity(A2, Z81).mat.with_entry(0, 2, j)
     with pytest.raises(RecoveryError):
         recover(A2, bad)
+
+
+def reference_solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
+    """The sweep loop that formed W = compose(f)^-1 mat before reading it,
+    so its first sweep multiplied out the identity, verbatim."""
+    ring = mat.ring
+    if not ring.local:
+        raise RecoveryError("recovery needs a local ring")
+    table = designated_positions(sys)
+    l = sys.rank
+
+    for cell in table.cells:
+        if cell.kind == "diag" and not is_unit(mat.get(cell.row, cell.col)):
+            raise RecoveryError("not in normal form: designated diagonal entry is not a unit")
+        if not ring.is_unit_vec(ring.from_int(cell.lead).vec):  # pragma: no cover - guarded by design
+            raise RecoveryError(f"leading coefficient {cell.lead} is not a unit")
+
+    f = FactoredElement.trivial(sys, ring)
+    dvals = [ring.one] * (l + 1)
+    for _ in range((ring.nilpotency or 1) + 2):
+        W = decompose._compose_inverse_mat(sys, f) @ mat
+        stable = True
+        tnew, unew = list(f.t), list(f.u)
+        for cell in table.cells:
+            w = W.get(cell.row, cell.col)
+            if cell.kind == "diag":
+                if w != ring.one:
+                    stable = False
+                    dvals[cell.index] = dvals[cell.index] * w
+            else:
+                if w != ring.zero:
+                    stable = False
+                    incr = w * ring.from_int(cell.lead).inv()
+                    if cell.kind == "t":
+                        tnew[cell.index] = tnew[cell.index] + incr
+                    else:
+                        unew[cell.index] = unew[cell.index] + incr
+        if stable:
+            return f, W
+        lam_s = []
+        for row in table.exponent_inverse:
+            v = ring.one
+            for d, e in zip(dvals, row):
+                if e:
+                    v = v * d**e
+            lam_s.append(v)
+        f = FactoredElement(ring=ring, lam=lam_s[0], s=tuple(lam_s[1:]), t=tuple(tnew), u=tuple(unew))
+    raise RecoveryError("recovery did not converge; not in normal form")
+
+
+def counted_sweeps(monkeypatch, sys: RootSystem, solve, mat: Mat):
+    """solve(sys, mat) and the number of product sweeps it made, each
+    2m + 2 `Mat.__matmul__` calls: 2m generators, the torus and the input."""
+    products = []
+    matmul = Mat.__matmul__
+
+    def counting(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Mat, "__matmul__", counting)
+        result = solve(sys, mat)
+    sweeps, rest = divmod(len(products), 2 * sys.m + 2)
+    assert rest == 0
+    return result, sweeps
+
+
+@pytest.mark.parametrize("ring_desc", ["zmod:3^1", "zmod:3^2", "zmod:3^3", "zmod:3^4", "trunc:3:3"])
+@pytest.mark.parametrize("sys_name", ["A2", "D4", "E6"])
+def test_sweeps_start_from_the_input(sys_name, ring_desc, monkeypatch):
+    sy, ring = system(sys_name), make_ring(ring_desc)
+    k = ring.nilpotency
+    rng = random.Random(46)
+    for _ in range(1 if sys_name == "E6" else 3):
+        mat = compose(sy, random_factored(sy, ring, rng)).mat
+        (f, W), sweeps = counted_sweeps(monkeypatch, sy, decompose._solve_cells, mat)
+        (f_ref, W_ref), sweeps_ref = counted_sweeps(monkeypatch, sy, reference_solve_cells, mat)
+        assert f == f_ref and W == W_ref
+        assert sweeps == sweeps_ref - 1
+        assert sweeps <= k - 1
+    # designated cells that already match the identity: no product at all,
+    # and the residual is the input itself
+    gen = np.random.default_rng(47)
+    data = gen.integers(0, ring.q, (ring.depth, sy.n, sy.n))
+    for c in designated_positions(sy).cells:
+        data[:, c.row, c.col] = (ring.one if c.kind == "diag" else ring.zero).vec
+    mat = Mat(ring, data)
+    (f, W), sweeps = counted_sweeps(monkeypatch, sy, decompose._solve_cells, mat)
+    assert sweeps == 0
+    assert f == FactoredElement.trivial(sy, ring)
+    assert W == mat
 
 
 @pytest.mark.parametrize("ring_desc", ["zmod:3^3", "gf:3", "trunc:3:3"])

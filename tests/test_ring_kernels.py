@@ -9,7 +9,8 @@ references below are the per-kind kernels these replaced, kept verbatim:
 `ExtRing._conv3`, `mul_vec`, `_blocks`, `is_unit_vec` and `inv_vec`,
 `_scale_stack`, the slotwise `Ring.mat_mod`, `Ring.solve` on ring-valued
 tuples, the `Mat.inv` built on it, and the generator update that reduced
-three times per term.  Only `self` became the reference object that wraps a
+three times per term and wrote each term back on its own, where `Mat` now
+updates one block of columns per generator.  Only `self` became the reference object that wraps a
 ring.  Also here: the int64 bounds the kernels rely on.
 """
 
@@ -296,6 +297,50 @@ def test_generator_update_matches_reference(args):
     assert np.array_equal(got.data, want)
 
 
+# two or three tables on 8 columns, several entries per column (the fold of
+# `SparseColumns.right_mul`) and columns that overlap partly or not at all
+small_tables = st.lists(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-4, 4)),
+                                 min_size=1, max_size=14), min_size=2, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RINGS[:5]), small_tables, st.integers(0, 2**32 - 1), st.booleans())
+def test_block_update_matches_per_term_reference(desc, entry_lists, seed, extreme):
+    ring = make_ring(desc)
+    terms = []
+    for i, entries in enumerate(entry_lists):
+        # distinct (src, dst) within one table
+        table = SparseColumns(8, list({(s, d): (s, d, c) for s, d, c in entries}.values()))
+        terms.append((table, ring.elem(tuple(stack(ring, (), seed + 1 + i, extreme).tolist()))))
+    M = stack(ring, (8, 8), seed, extreme)
+    want = reference_generator_product(reference(ring), M, terms)
+    X = Mat.unipotent(ring, 8, terms)
+    assert np.array_equal((Mat(ring, M, reduce=False) @ X).data, want)
+    eye = Mat.identity(ring, 8).data
+    assert np.array_equal(X.data, reference_generator_product(reference(ring), eye, terms))
+
+
+@pytest.mark.parametrize("desc", RINGS[:5])
+def test_block_update_of_partly_overlapping_columns(desc):
+    # columns {0, 2, 5} and {2, 3, 5, 7}; column 5 of the first holds two
+    # entries, and a third table covers exactly the first's columns
+    ring = make_ring(desc)
+    A = SparseColumns(8, [(0, 1, 2), (2, 4, -1), (5, 6, 3), (5, 0, -2)])
+    B = SparseColumns(8, [(2, 2, 1), (3, 5, -3), (5, 5, 4), (7, 1, 1)])
+    C = SparseColumns(8, [(0, 7, 1), (2, 3, 2), (5, 4, -1)])
+    for terms in (((A, ring.from_int(5)), (B, -ring.one)), ((B, ring.one), (A, ring.from_int(2))),
+                  ((A, ring.one), (C, ring.from_int(3)), (B, ring.from_int(4)))):
+        X = Mat.unipotent(ring, 8, terms)
+        cols, parts = X.factor[1]
+        assert cols.tolist() == sorted(set().union(*(table.cols.tolist() for table, _ in terms)))
+        for table, pos, _ in parts:
+            assert cols[pos].tolist() == table.cols.tolist()
+        for seed, extreme in ((0, False), (1, True)):
+            M = stack(ring, (8, 8), seed, extreme)
+            want = reference_generator_product(reference(ring), M, terms)
+            assert np.array_equal((Mat(ring, M, reduce=False) @ X).data, want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(products)
 def test_diagonal_product_matches_reference(args):
@@ -459,6 +504,25 @@ def test_generator_update_refuses_a_table_past_the_bound():
     split = SparseColumns(2, [(0, 1, K // 2)])
     assert split.col_bound == K // 2
     assert (M @ Mat.unipotent(ring, 2, ((split, ring.one),))).get(1, 0) == ring.from_int(K // 2)
+
+
+def test_block_update_bounds_the_sum_of_its_terms():
+    # one block sums every term, so the bound is on sum(col_bound): two
+    # tables that each pass alone are refused together, and two that sum to
+    # the largest exact bound stay exact on the largest entries
+    ring = make_ring(f"gf:{BIG_PRIME}")
+    K = INT64_MAX // (BIG_PRIME - 1) ** 2 + 1
+    c = K // 2 + 1
+    A, B = SparseColumns(2, [(0, 1, c)]), SparseColumns(2, [(0, 0, c)])
+    for table in (A, B):
+        Mat.unipotent(ring, 2, ((table, ring.one),))
+    with pytest.raises(RingError, match="overflow int64"):
+        Mat.unipotent(ring, 2, ((A, ring.one), (B, ring.one)))
+    c = (K - 1) // 2
+    terms = ((SparseColumns(2, [(0, 1, c)]), -ring.one), (SparseColumns(2, [(0, 0, c)]), -ring.one))
+    M = stack(ring, (2, 2), 0, extreme=True)
+    want = reference_generator_product(reference(ring), M, terms)
+    assert np.array_equal((Mat(ring, M, reduce=False) @ Mat.unipotent(ring, 2, terms)).data, want)
 
 
 def test_col_bound_is_the_largest_column_sum_of_absolute_coefficients():

@@ -23,6 +23,7 @@ from chevalley.matrices import Mat
 from chevalley.rings import _MAX_MODULUS, RingError, _is_prime, make_ring
 from chevalley.roots import system
 from chevalley.suites import random_factored
+from chevalley.torusext import _off_identity
 
 # the largest prime the int64 bound n * (q - 1)^2 < 2^63 admits for n <= 248
 BIG_PRIME = max(p for p in range(_MAX_MODULUS - 100, _MAX_MODULUS + 1) if _is_prime(p))
@@ -190,7 +191,7 @@ def test_generators_used_as_right_factors_are_never_made_dense(monkeypatch):
     g = compose(sys, f)
     assert recover(sys, g) == f
     # one for the product, 2m for compose, 2m for its exactness check in
-    # recover and 2m per recovery sweep
+    # recover and 2m per recovery sweep after the first, which reads the input
     assert len(built) > 1 + 4 * sys.m
     assert all(M._data is None for M in built)
 
@@ -244,16 +245,22 @@ def test_diagonal_on_the_left_equals_dense(token, desc, seed, pick):
 @settings(max_examples=40, deadline=None)
 @given(case)
 def test_off_identity_is_the_support_of_x_minus_identity(args):
+    # the entries `verify_lift` reads from the tables of ad x_r and its
+    # square, for two roots side by side and two parameters each, against
+    # the dense x_r(t) - I
     token, desc, seed, pick = args
     sys, ring = system(token), make_ring(desc)
-    X = x_elem(sys, ring, sys.roots[pick % len(sys.roots)], random_mat(ring, 1, seed).get(0, 0)).mat
-    rows, cols, values = X.off_identity()
-    assert X._data is None
-    rest = ring.mat_mod(X.data - Mat.identity(ring, sys.n).data)
-    assert np.array_equal(rest[:, rows, cols], values)
-    rest[:, rows, cols] = 0
-    assert not rest.any()
+    roots = [sys.roots[pick % len(sys.roots)], sys.roots[(pick // 7) % len(sys.roots)]]
+    params = [[random_mat(ring, 1, seed + 2 * i + j).get(0, 0) for j in range(2)] for i in range(2)]
+    rows, cols, sizes, values = _off_identity(sys, ring, roots, *params)
+    assert len(values) == 2 and sum(sizes) == len(rows) == len(cols)
+    ends = np.cumsum(sizes)
+    for j, root in enumerate(roots):
+        part = slice(ends[j] - sizes[j], ends[j])
+        for ts, vals in zip(params, values):
+            rest = ring.mat_mod(x_elem(sys, ring, root, ts[j]).mat.data - Mat.identity(ring, sys.n).data)
+            assert np.array_equal(rest[:, rows[part], cols[part]], vals[:, part])
+            rest[:, rows[part], cols[part]] = 0
+            assert not rest.any()
     with pytest.raises(RingError):
-        Mat.identity(ring, sys.n).off_identity()
-    with pytest.raises(RingError):
-        X.diagonal_stack()
+        x_elem(sys, ring, roots[0], params[0][0]).mat.diagonal_stack()

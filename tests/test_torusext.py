@@ -245,7 +245,7 @@ def test_support_check_agrees_with_dense_reference(token, base):
 
 @pytest.mark.parametrize("token", ["A2", "A4", "A8", "D4", "D6", "D8", "E6", "E7", "E8"])
 def test_generator_tables_stay_off_the_diagonal_and_apart(token):
-    # so the entries `Mat.off_identity` reads from x_a(t)'s two tables are
+    # so the entries `torusext._off_identity` reads from x_a(t)'s two tables are
     # off the diagonal and never need summing
     sys = system(token)
     N = structure_constants(sys)
