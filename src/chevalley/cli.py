@@ -101,7 +101,11 @@ def cmd_decompose(args, out) -> int:
     if not args.ring:
         raise ValueError("decompose requires --ring")
     ring = make_ring(args.ring)
-    text = _sysmod.stdin.read() if args.matrix_file == "-" else open(args.matrix_file).read()
+    if args.matrix_file == "-":
+        text = _sysmod.stdin.read()
+    else:
+        with open(args.matrix_file) as fh:
+            text = fh.read()
     try:
         obj = json.loads(text)
     except RecursionError:

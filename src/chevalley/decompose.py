@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .group import GroupElement, _x_mat, scalar_elem, t_k, torus_diagonal, x_elem
+from .group import GroupElement, Factor, inverse_word, scalar_elem, t_k, torus_diagonal, word_to_matrix, x_elem
 from .lie import ad_x_tables, h_index, root_index, structure_constants
 from .matrices import Mat
 from .rings import Ring, RingElem, RingError, is_unit
@@ -103,30 +103,25 @@ def compose(sys: RootSystem, f: FactoredElement) -> GroupElement:
     g = scalar_elem(sys, ring, f.lam)
     for k in range(sys.rank):
         g = g @ t_k(sys, ring, k, f.s[k])
-    for i, p in enumerate(sys.positive):
-        g = g @ x_elem(sys, ring, p, f.t[i])
-    for i, p in enumerate(sys.positive):
-        g = g @ x_elem(sys, ring, neg(p), f.u[i])
+    for _, r, t in _unipotent_word(sys, f):
+        g = g @ x_elem(sys, ring, r, t)
     return g
 
 
+def _unipotent_word(sys: RootSystem, f: FactoredElement) -> tuple[Factor, ...]:
+    """compose's generators in order: x_b(t_b) for every positive root b,
+    then x_-b(u_b)."""
+    return (tuple(("x", p, t) for p, t in zip(sys.positive, f.t))
+            + tuple(("x", neg(p), u) for p, u in zip(sys.positive, f.u)))
+
+
 def _compose_inverse_mat(sys: RootSystem, f: FactoredElement) -> Mat:
-    """compose(f)^-1 as a matrix: compose's word reversed, each factor
-    inverted; only the matrices of the generators are built."""
-    ring = f.ring
-    out = Mat.identity(ring, sys.n)
-    for i in reversed(range(sys.m)):
-        out = out @ _x_mat(sys, ring, neg(sys.positive[i]), -f.u[i])
-    for i in reversed(range(sys.m)):
-        out = out @ _x_mat(sys, ring, sys.positive[i], -f.t[i])
-    inv = FactoredElement(
-        ring=ring,
-        lam=f.lam.inv(),
-        s=tuple(x.inv() for x in f.s),
-        t=(ring.zero,) * sys.m,
-        u=(ring.zero,) * sys.m,
-    )
-    return out @ Mat.diagonal(ring, _torus_diag(sys, inv))
+    """compose(f)^-1 as a matrix: the matrix of the inverse of compose's
+    unipotent word (`group.inverse_word`), times the inverse torus as one
+    diagonal, lam^-1 times the torus diagonal of the inverted s."""
+    ring, lam = f.ring, f.lam.inv()
+    diag = [lam * d for d in torus_diagonal(sys, ring, tuple(x.inv() for x in f.s))]
+    return word_to_matrix(sys, ring, inverse_word(_unipotent_word(sys, f))) @ Mat.diagonal(ring, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +282,7 @@ def _solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
     at most k - 1 product sweeps."""
     ring = mat.ring
     if not ring.local:
-        raise RecoveryError("recovery needs a local ring")
+        raise RingError("recovery needs a local ring")
     table = designated_positions(sys)
     l = sys.rank
 
@@ -393,13 +388,12 @@ def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
 
     mu and nu are roots, or ("h", i) for a Cartan row/column.  The column's
     basis vector is pushed through the unipotent factors right to left, each
-    x_r(t) = I + t X_r + (t^2/2) X_r^2 moving a basis state along the entries
-    of the `ad_x_tables` of r, with a polynomial in the parameters carried per
+    x_r(t) = I + t X_r + t^2 H_r moving a basis state along the entries of
+    the `ad_x_tables` of r, with a polynomial in the parameters carried per
     state.  A backward pass first marks, after each factor, the states from
     which the row can still be reached, and the forward pass keeps only those.
-    Entries of X_r^2 arise only through the Cartan subspace and are even, so
-    the series' one half cancels to an integer; X_r entries through the
-    Cartan subspace make coefficients beyond +-1.
+    X_r and H_r entries through the Cartan subspace make coefficients beyond
+    +-1.
     """
     N = structure_constants(sys)
     mu_l = ("h", mu[1]) if isinstance(mu[0], str) else ("x", tuple(mu))
@@ -413,15 +407,10 @@ def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
     applied += [("t", i, p) for i, p in enumerate(sys.positive)][::-1]
     layers = []
     for kind, idx, r in applied:
-        X, X2 = ad_x_tables(sys, N, r)
-        odd = X2.coeff[X2.coeff % 2 != 0]
-        if len(odd):
-            raise ArithmeticError(f"odd quadratic coefficient {odd[0]} at {r}: "
-                                  "the series' one half does not cancel")
+        X, H = ad_x_tables(sys, N, r)
         once, twice = ((kind, idx),), ((kind, idx), (kind, idx))
         layers.append(list(zip(X.src.tolist(), X.dst.tolist(), X.coeff.tolist(), [once] * len(X.src)))
-                      + list(zip(X2.src.tolist(), X2.dst.tolist(), (X2.coeff // 2).tolist(),
-                                 [twice] * len(X2.src))))
+                      + list(zip(H.src.tolist(), H.dst.tolist(), H.coeff.tolist(), [twice] * len(H.src))))
 
     # live[k]: states from which the row is reachable through factors k, k+1, ...
     live = [{row}]

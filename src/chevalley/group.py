@@ -2,7 +2,9 @@
 
 Elements carry an exact matrix plus, when they were built from generators, a
 word of tagged factors (unipotent, torus, scalar, diagram) that multiplies
-out to the matrix.  Words make inverses cheap and serialize to JSON.
+out to the matrix.  Words serialize to JSON and make inverses cheap: a word
+is inverted as data (`inverse_word`), each factor by the rule of its kind,
+and `_factor_matrix` is the one place a factor's matrix is built.
 """
 
 from __future__ import annotations
@@ -49,13 +51,11 @@ class GroupElement:
         return self.mat.is_identity()
 
     def inverse(self) -> "GroupElement":
-        """By the word, each factor inverted in reverse order, when there is
-        one; otherwise by `Mat.inv`."""
+        """The matrix of `inverse_word` of the word, when there is one;
+        otherwise by `Mat.inv`."""
         if self.word is not None:
-            inv = GroupElement.identity(self.sys, self.ring)
-            for f in reversed(self.word):
-                inv = inv @ _factor_inverse(self.sys, self.ring, f)
-            return inv
+            word = inverse_word(self.word)
+            return GroupElement(self.sys, self.ring, word_to_matrix(self.sys, self.ring, word), word)
         return GroupElement(self.sys, self.ring, self.mat.inv(), None)
 
     def word_to_json(self) -> list:
@@ -89,19 +89,20 @@ def _factor_matrix(sys: RootSystem, ring: Ring, f: Factor) -> Mat:
     return Mat.from_int_matrix(ring, data.T if f[2].get("inv") else data)
 
 
-def _factor_inverse(sys: RootSystem, ring: Ring, f: Factor) -> GroupElement:
+def _factor_inverse(f: Factor) -> Factor:
     if f[0] == "x":
-        return GroupElement(sys, ring, _x_mat(sys, ring, f[1], -f[2]), (("x", f[1], -f[2]),))
+        return ("x", f[1], -f[2])
     if f[0] == "h":
-        vals = tuple(v.inv() for v in f[1])
-        return GroupElement(sys, ring, _char_mat(sys, ring, vals), (("h", vals),))
+        return ("h", tuple(v.inv() for v in f[1]))
     if f[0] == "scalar":
-        lam = f[1].inv()
-        return GroupElement(sys, ring, Mat.diagonal(ring, [lam] * sys.n), (("scalar", lam),))
+        return ("scalar", f[1].inv())
     # signed permutation: the inverse is the transpose
-    data = dict(f[2])
-    data["inv"] = not f[2].get("inv")
-    return GroupElement(sys, ring, _factor_matrix(sys, ring, ("perm", f[1], data)), (("perm", f[1], data),))
+    return ("perm", f[1], {**f[2], "inv": not f[2].get("inv")})
+
+
+def inverse_word(word) -> tuple[Factor, ...]:
+    """The word of the inverse: `word` reversed, each factor inverted."""
+    return tuple(_factor_inverse(f) for f in reversed(word))
 
 
 def word_to_matrix(sys: RootSystem, ring: Ring, word) -> Mat:
@@ -117,12 +118,13 @@ def word_to_matrix(sys: RootSystem, ring: Ring, word) -> Mat:
 
 
 def _x_mat(sys: RootSystem, ring: Ring, r: Root, t: RingElem) -> Mat:
-    X, X2 = ad_x_tables(sys, structure_constants(sys), r)
-    return Mat.unipotent(ring, sys.n, ((X, t), (X2, t * t * ring.half)))
+    X, H = ad_x_tables(sys, structure_constants(sys), r)
+    return Mat.unipotent(ring, sys.n, ((X, t), (H, t * t)))
 
 
 def x_elem(sys: RootSystem, ring: Ring, r: Root, t: RingElem) -> GroupElement:
-    """Exponential of t x_r: the series stops at degree two on the adjoint module."""
+    """Exponential of t x_r: the series I + t X + t^2 H of `ad_x_tables`
+    stops at degree two on the adjoint module."""
     r = tuple(r)
     if not sys.is_root(r):
         raise ValueError(f"{r} is not a root of {sys.name}")

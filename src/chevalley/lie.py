@@ -185,10 +185,13 @@ def _frozen(values) -> np.ndarray:
 
 
 def ad_x_tables(sys: RootSystem, N: StructureConstants, r: Root) -> tuple[SparseColumns, SparseColumns]:
-    """Sparse columns of ad x_r and of (ad x_r)^2, built once per root.
+    """Sparse columns of X = ad x_r and of H = (ad x_r)^2 / 2, built once per
+    root: the generator series x_r(t) = I + t X + t^2 H, stated here only.
 
     The square is the sparse product of ad x_r with itself, so no dense
-    n x n x n product is ever formed.
+    n x n x n product is ever formed.  Its entries arise only through the
+    Cartan subspace and are even, so H is integral; an odd entry raises
+    ArithmeticError here, once, for every user of the tables.
     """
     r = tuple(r)
     key = ("ad_tables", r)
@@ -202,9 +205,12 @@ def ad_x_tables(sys: RootSystem, N: StructureConstants, r: Root) -> tuple[Sparse
             for k, c in col:
                 for i, c2 in columns.get(k, ()):
                     square[j, i] = square.get((j, i), 0) + c * c2
+        odd = next((c for c in square.values() if c % 2), None)
+        if odd is not None:
+            raise ArithmeticError(f"(ad x_{r})^2 has the odd entry {odd}: x_{r}(t) is not integral")
         X = SparseColumns(sys.n, [(j, i, c) for j, col in columns.items() for i, c in col])
-        X2 = SparseColumns(sys.n, [(j, i, c) for (j, i), c in square.items()])
-        sys._ad_cache[key] = (X, X2)
+        H = SparseColumns(sys.n, [(j, i, c // 2) for (j, i), c in square.items()])
+        sys._ad_cache[key] = (X, H)
     return sys._ad_cache[key]
 
 
@@ -217,8 +223,8 @@ def ad_x(sys: RootSystem, N: StructureConstants, r: Root) -> np.ndarray:
 
 
 def ad_x_squared(sys: RootSystem, N: StructureConstants, r: Root) -> np.ndarray:
-    """Matrix of (ad x_r)^2, scattered from its sparse table (not cached dense)."""
-    return ad_x_tables(sys, N, r)[1].dense()
+    """Matrix of (ad x_r)^2, twice the half-square table (not cached dense)."""
+    return 2 * ad_x_tables(sys, N, r)[1].dense()
 
 
 def t_matrix(sys: RootSystem, i: int) -> np.ndarray:

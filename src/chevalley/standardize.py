@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import RecoveryError, designated_positions, gauge_normal_form
-from .group import GroupElement, congruence_member, graph_matrix, word_to_matrix
-from .lie import SparseColumns, ad_x, ad_x_squared, ad_x_tables, structure_constants, t_matrix
+from .group import GroupElement, congruence_member, graph_matrix, inverse_word, word_to_matrix
+from .lie import SparseColumns, ad_x, ad_x_tables, structure_constants, t_matrix
 from .rings import RingError
 from .roots import RootSystem, neg
 
@@ -41,11 +41,9 @@ class LinSystem:
 
 
 def _x_unit_int(sys: RootSystem, r) -> np.ndarray:
+    """x_r(1) = I + X + H over the integers, from the tables of `ad_x_tables`."""
     N = structure_constants(sys)
-    X2 = ad_x_squared(sys, N, r)
-    if (X2 % 2).any():
-        raise ArithmeticError(f"(ad x_{r})^2 has an odd entry: x_{r}(1) is not integral")
-    return np.eye(sys.n, dtype=np.int64) + ad_x(sys, N, r) + X2 // 2
+    return np.eye(sys.n, dtype=np.int64) + ad_x(sys, N, r) + ad_x_tables(sys, N, r)[1].dense()
 
 
 def _coo(rows, cols, vals, p: int) -> np.ndarray:
@@ -237,19 +235,18 @@ def standardness_certificate(
     C must be congruent to the identity modulo the radical, unless the caller
     supplies the residue-field data: a diagram automorphism name and a word
     (already lifted to the ring) whose product g' satisfies C = A_delta g' C'
-    with C' congruent to the identity.  g' keeps that word, so it and A_delta
-    are both inverted by their words.  The residue-field factorization
-    itself is out of scope here and must come from the caller.
+    with C' congruent to the identity.  (A_delta g')^-1 is the matrix of the
+    inverse of A_delta's word followed by that word (`inverse_word`), so g'
+    itself is never multiplied out.  The residue-field factorization itself
+    is out of scope here and must come from the caller.
     """
     ring = C.ring
     if not ring.local:
         raise RingError("certificates need a local base ring")
     work = C
     if delta is not None or residue_word is not None:
-        word = tuple(residue_word or ())
-        lifted = GroupElement(sys, ring, word_to_matrix(sys, ring, word), word)
-        a_delta = graph_matrix(sys, ring, delta or "identity")
-        work = lifted.inverse() @ a_delta.inverse() @ C
+        word = inverse_word(graph_matrix(sys, ring, delta or "identity").word + tuple(residue_word or ()))
+        work = GroupElement(sys, ring, word_to_matrix(sys, ring, word), word) @ C
     if not congruence_member(work):
         return Certificate(
             verdict="nonstandard-or-outside-scope",

@@ -11,7 +11,7 @@ multiply value by value, so t and t^-1 are one `torus_diagonal` walk each.
 x_a - I only.  Entry (i, j) of t x t^-1 is d_i x_ij d^-1_j, for the diagonals
 d of t and d^-1 of t^-1.  Both generators have the same support, which never
 meets the diagonal, and `_off_identity` reads their entries there from the
-tables of ad x_a and its square, with no generator built; the left side
+tables of ad x_a and half its square, with no generator built; the left side
 there is x's entry scaled by d[row] d^-1[col].
 On the diagonal the left side is d_i d^-1_i and the right side 1, which one
 check per lift covers; everywhere else both sides are 0.  So the comparison
@@ -138,14 +138,14 @@ def verify_lift(
 
 
 def _off_identity(sys: RootSystem, ring: Ring, roots, *params):
-    """The entries of x_r(t) - I where ad x_r or its square is nonzero, for
-    every root r of `roots` side by side, read from the two tables:
-    x_r(t) - I = t ad x_r + (t^2/2) (ad x_r)^2, and the tables never share a
-    position and stay off the diagonal, so x_r(t) - I is 0 elsewhere.
+    """The entries of x_r(t) - I where X = ad x_r or H = (ad x_r)^2 / 2 is
+    nonzero, for every root r of `roots` side by side, read from the two
+    tables: x_r(t) - I = t X + t^2 H, and the tables never share a position
+    and stay off the diagonal, so x_r(t) - I is 0 elsewhere.
 
     Returns (rows, cols, sizes, values): the positions, the number of
     positions of each root, and for each sequence in `params` (one t per
-    root) the (depth, count) stack of entries, t or t^2/2 times the table's
+    root) the (depth, count) stack of entries, t or t^2 times the table's
     coefficient."""
     N = structure_constants(sys)
     tables = [A for r in roots for A in ad_x_tables(sys, N, r)]
@@ -153,7 +153,7 @@ def _off_identity(sys: RootSystem, ring: Ring, roots, *params):
     coeff = np.concatenate([A.coeff for A in tables])
 
     def entries(ts) -> np.ndarray:
-        scalars = np.array([v for t in ts for v in (t.vec, (t * t * ring.half).vec)], dtype=np.int64)
+        scalars = np.array([v for t in ts for v in (t.vec, (t * t).vec)], dtype=np.int64)
         return ring.mat_mod(np.repeat(scalars.T, counts, axis=1) * coeff)
 
     return (np.concatenate([A.dst for A in tables]), np.concatenate([A.src for A in tables]),

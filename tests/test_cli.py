@@ -106,7 +106,7 @@ def test_decompose_failure_exits_one(tmp_path):
     assert code == 1
 
 
-def test_bad_configuration_exits_two(capsys):
+def test_bad_configuration_exits_two(capsys, tmp_path):
     code, _ = run_cli(["roots", "--system", "B3"])
     assert code == 2
     code, _ = run_cli(["verify", "kernel", "--system", "A2", "--ring", "zmod:3^3"])
@@ -116,6 +116,9 @@ def test_bad_configuration_exits_two(capsys):
     code, _ = run_cli(["verify", "graph", "--system", "D4"])
     assert code == 2
     capsys.readouterr()
+    identity = tmp_path / "identity.json"
+    rows = [[int(i == j) for j in range(8)] for i in range(8)]
+    identity.write_text(json.dumps({"n": 8, "ring": "int", "rows": rows}))
     for argv in (["verify", "lemma2", "--system", "A2", "--ring", "zmod:3^2", "--count", "-3"],
                  ["verify", "jacobi", "--system", "E6", "--count", "-1"],
                  # options the chosen suite does not take
@@ -126,6 +129,9 @@ def test_bad_configuration_exits_two(capsys):
                  ["verify", "lemma3", "--system", "A2", "--ring", "zmod:5^3", "--r", "2", "--count", "5"],
                  ["verify", "jacobi", "--system", "A2", "--ring", "gf:3"],
                  ["verify", "graph", "--system", "A2", "--ring", "gf:3", "--control"],
+                 # recovery over a ring not known to be local
+                 ["verify", "lemma2", "--system", "A2", "--ring", "ext:zmod:5^2:2:3", "--count", "2"],
+                 ["decompose", "--system", "A2", "--ring", "ext:gf:7:3:2", "--matrix-file", str(identity)],
                  # argparse errors: a missing value, a non-integer, an unknown verb
                  ["verify", "lemma2", "--system", "A2", "--ring"],
                  ["verify", "lemma2", "--system", "A2", "--ring", "gf:3", "--count", "x"],

@@ -17,8 +17,8 @@ from chevalley.decompose import (
     gauge_normal_form,
     recover,
 )
-from chevalley.group import GroupElement, x_elem
-from chevalley.lie import SparseColumns, ad_x, ad_x_tables, h_index, root_index, structure_constants
+from chevalley.group import GroupElement, _x_mat, x_elem
+from chevalley.lie import ad_x, h_index, root_index, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import RingError, is_unit, make_ring
 from chevalley.roots import Root, RootSystem, add, neg, system
@@ -167,6 +167,40 @@ def test_compose_inverse_inverts_compose(token, desc, seed):
     assert (decompose._compose_inverse_mat(sys, f) @ compose(sys, f).mat).is_identity()
 
 
+def reference_compose_inverse_mat(sys: RootSystem, f: FactoredElement) -> Mat:
+    """compose(f)^-1 with compose's generators reversed and negated by hand,
+    and the inverse torus as a factored element of its own, verbatim."""
+    ring = f.ring
+    out = Mat.identity(ring, sys.n)
+    for i in reversed(range(sys.m)):
+        out = out @ _x_mat(sys, ring, neg(sys.positive[i]), -f.u[i])
+    for i in reversed(range(sys.m)):
+        out = out @ _x_mat(sys, ring, sys.positive[i], -f.t[i])
+    inv = FactoredElement(
+        ring=ring,
+        lam=f.lam.inv(),
+        s=tuple(x.inv() for x in f.s),
+        t=(ring.zero,) * sys.m,
+        u=(ring.zero,) * sys.m,
+    )
+    return out @ Mat.diagonal(ring, decompose._torus_diag(sys, inv))
+
+
+@pytest.mark.parametrize("ring_desc", ["zmod:3^3", "trunc:3:3", "gf:7"])
+@pytest.mark.parametrize("sys_name", ["A2", "D4", "E6"])
+def test_compose_inverse_by_word_matches_reference(sys_name, ring_desc, monkeypatch):
+    # the inverse word of compose's generators and one inverse torus
+    # diagonal: the same matrix from the same 2m + 1 products
+    sy, ring = system(sys_name), make_ring(ring_desc)
+    rng = random.Random(48)
+    for _ in range(1 if sys_name == "E6" else 3):
+        f = random_units_factored(sy, ring, rng)
+        got, products = counted_products(monkeypatch, decompose._compose_inverse_mat, sy, f)
+        want, products_ref = counted_products(monkeypatch, reference_compose_inverse_mat, sy, f)
+        assert got == want
+        assert products == products_ref == 2 * sy.m + 1
+
+
 @pytest.mark.parametrize(
     "token,ring_desc,count",
     [
@@ -293,9 +327,8 @@ def reference_solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, M
     raise RecoveryError("recovery did not converge; not in normal form")
 
 
-def counted_sweeps(monkeypatch, sys: RootSystem, solve, mat: Mat):
-    """solve(sys, mat) and the number of product sweeps it made, each
-    2m + 2 `Mat.__matmul__` calls: 2m generators, the torus and the input."""
+def counted_products(monkeypatch, fn, *args):
+    """fn(*args) and the number of `Mat.__matmul__` calls it made."""
     products = []
     matmul = Mat.__matmul__
 
@@ -305,8 +338,15 @@ def counted_sweeps(monkeypatch, sys: RootSystem, solve, mat: Mat):
 
     with monkeypatch.context() as patch:
         patch.setattr(Mat, "__matmul__", counting)
-        result = solve(sys, mat)
-    sweeps, rest = divmod(len(products), 2 * sys.m + 2)
+        result = fn(*args)
+    return result, len(products)
+
+
+def counted_sweeps(monkeypatch, sys: RootSystem, solve, mat: Mat):
+    """solve(sys, mat) and the number of product sweeps it made, each
+    2m + 2 `Mat.__matmul__` calls: 2m generators, the torus and the input."""
+    result, products = counted_products(monkeypatch, solve, sys, mat)
+    sweeps, rest = divmod(products, 2 * sys.m + 2)
     assert rest == 0
     return result, sweeps
 
@@ -554,15 +594,6 @@ def test_entry_formula_equals_path_dfs(cell):
     assert entry_formula(sys, mu, nu) == dfs_entry_formula(sys, mu, nu)
 
 
-def test_entry_formula_rejects_odd_quadratic_coefficient(monkeypatch):
-    def odd_square(sys, N, r):
-        X, X2 = ad_x_tables(sys, N, r)
-        entries = zip(X2.src.tolist(), X2.dst.tolist(), X2.coeff.tolist())
-        return X, SparseColumns(sys.n, [(s, d, c + 1) for s, d, c in entries])
-
-    monkeypatch.setattr(decompose, "ad_x_tables", odd_square)
-    with pytest.raises(ArithmeticError, match="odd quadratic coefficient"):
-        entry_formula(A2, neg((1, 1)), (1, 1))
 
 
 @pytest.mark.parametrize("mu,nu,count", [

@@ -5,6 +5,9 @@ import pytest
 from chevalley.group import (
     Character,
     GroupElement,
+    _char_mat,
+    _factor_matrix,
+    _x_mat,
     apply_diagram,
     check_torus_conjugation,
     commutator,
@@ -182,6 +185,62 @@ def test_word_matrix_consistency_random_words():
             else:
                 g = g @ scalar_elem(sys, ring, ring.random_unit(rng))
         assert word_to_matrix(sys, ring, g.word) == g.mat
+        assert (g @ g.inverse()).is_identity()
+        assert_same_element(g.inverse(), reference_inverse(g))
+
+
+def reference_factor_inverse(sys, ring, f):
+    """One factor's inverse as an element of its own, its matrix built beside
+    `_factor_matrix`: the rule before words were inverted as data."""
+    if f[0] == "x":
+        return GroupElement(sys, ring, _x_mat(sys, ring, f[1], -f[2]), (("x", f[1], -f[2]),))
+    if f[0] == "h":
+        vals = tuple(v.inv() for v in f[1])
+        return GroupElement(sys, ring, _char_mat(sys, ring, vals), (("h", vals),))
+    if f[0] == "scalar":
+        lam = f[1].inv()
+        return GroupElement(sys, ring, Mat.diagonal(ring, [lam] * sys.n), (("scalar", lam),))
+    # signed permutation: the inverse is the transpose
+    data = dict(f[2])
+    data["inv"] = not f[2].get("inv")
+    return GroupElement(sys, ring, _factor_matrix(sys, ring, ("perm", f[1], data)), (("perm", f[1], data),))
+
+
+def reference_inverse(g):
+    inv = GroupElement.identity(g.sys, g.ring)
+    for f in reversed(g.word):
+        inv = inv @ reference_factor_inverse(g.sys, g.ring, f)
+    return inv
+
+
+def assert_same_element(g, h):
+    assert g.mat == h.mat
+    assert g.word_to_json() == h.word_to_json()
+    # and each permutation factor holds the same integer matrix
+    perms = [[f[2]["matrix"] for f in e.word if f[0] == "perm"] for e in (g, h)]
+    assert all(a is b for a, b in zip(*perms))
+
+
+@pytest.mark.parametrize("token,name", [("D4", "triality"), ("E6", "flip")])
+@pytest.mark.parametrize("desc", ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3"])
+def test_inverse_word_matches_the_factor_by_factor_reference(token, name, desc):
+    # words that mix every factor kind, a diagram factor and its inverse too
+    rng = random.Random(11)
+    sys, ring = system(token), make_ring(desc)
+    A = graph_matrix(sys, ring, name)
+    for _ in range(3):
+        g = GroupElement.identity(sys, ring)
+        for _ in range(rng.randrange(1, 10)):
+            kind = rng.randrange(5)
+            if kind == 0:
+                g = g @ x_elem(sys, ring, sys.roots[rng.randrange(len(sys.roots))], ring.random_element(rng))
+            elif kind == 1:
+                g = g @ h_elem(sys, Character(ring, tuple(ring.random_unit(rng) for _ in range(sys.rank))))
+            elif kind == 2:
+                g = g @ scalar_elem(sys, ring, ring.random_unit(rng))
+            else:
+                g = g @ (A if kind == 3 else reference_inverse(A))
+        assert_same_element(g.inverse(), reference_inverse(g))
         assert (g @ g.inverse()).is_identity()
 
 

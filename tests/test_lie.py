@@ -4,8 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from chevalley import standardize
+from chevalley.decompose import entry_formula
+from chevalley.group import x_elem
 from chevalley.lie import (
+    StructureConstants,
     ad_x,
+    ad_x_tables,
     basis_elements,
     index_of,
     jacobi_defect,
@@ -13,7 +18,9 @@ from chevalley.lie import (
     structure_constants,
     t_matrix,
 )
-from chevalley.roots import add, height, neg, system
+from chevalley.rings import make_ring
+from chevalley.roots import add, build_root_system, height, neg, system
+from chevalley.torusext import _off_identity
 
 
 def brackets_match_ad(sys, N, a, b):
@@ -247,3 +254,31 @@ def test_a2_reference_display_relationship():
 
     for name, r in {"X-a1": (-1, 0), "X-a2": (0, -1), "X-a3": (-1, -1)}.items():
         assert np.array_equal(-ad_x(sys, N, r), REFERENCE_A2[name]), name
+
+
+def test_odd_square_is_refused_once_in_ad_x_tables():
+    # x_r(t) = I + t X + t^2 X^2 / 2 is integral because X^2 is even.  A
+    # bracket table with [x_a, x_-a] = h_1 + h_2 at a = a_1 of A2 makes
+    # X^2 send x_-a to -2 x_a + x_a, an odd entry: ad_x_tables refuses it,
+    # and every user of the tables raises rather than floor the half away
+    a = (1, 0)
+
+    class SkewedN(StructureConstants):
+        def bracket(self, u, v):
+            out = super().bracket(u, v)
+            if (u, v) == (("x", a), ("x", neg(a))):
+                out[("h", 1)] = 1
+            return out
+
+    sys = build_root_system.__wrapped__("A", 2)   # a fresh system, caches empty
+    N = sys._ad_cache["N"] = SkewedN(sys)
+    ring = make_ring("zmod:3^2")
+    with pytest.raises(ArithmeticError, match="odd entry -1"):
+        ad_x_tables(sys, N, a)
+    users = [lambda: standardize._x_unit_int(sys, a),
+             lambda: entry_formula(sys, neg((1, 1)), (1, 1)),
+             lambda: x_elem(sys, ring, a, ring.one),
+             lambda: _off_identity(sys, ring, [a], [ring.one])]
+    for use in users:
+        with pytest.raises(ArithmeticError, match="odd entry"):
+            use()

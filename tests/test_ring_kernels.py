@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley.group import x_elem
-from chevalley.lie import SparseColumns, ad_x_tables, structure_constants
+from chevalley.lie import SparseColumns, ad_x_squared, ad_x_tables, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import _MAX_MODULUS, INT64_MAX, MAX_DIM, RingError, _is_prime, make_ring, solve_mod
 from chevalley.roots import system
@@ -219,6 +219,12 @@ def reference_mat_inv(ref, data):
     return np.ascontiguousarray(data.transpose(2, 0, 1))
 
 
+def sparse_table(A):
+    """The SparseColumns of a dense integer matrix."""
+    dst, src = np.nonzero(A)
+    return SparseColumns(len(A), zip(src.tolist(), dst.tolist(), A[dst, src].tolist()))
+
+
 def reference_generator_product(ref, M, terms):
     """M (I + sum s A) for (SparseColumns A, RingElem s) in `terms`, as the
     update reduced M A, then s (M A), then the sum."""
@@ -291,7 +297,10 @@ def test_generator_update_matches_reference(args):
     root = sys.roots[pick % len(sys.roots)]
     t = ring.elem(tuple(stack(ring, (), seed + 1, extreme).tolist()))
     M = stack(ring, (sys.n, sys.n), seed, extreme)
-    X, X2 = ad_x_tables(sys, structure_constants(sys), root)
+    N = structure_constants(sys)
+    # the series' X^2 / 2 term, with X^2 rebuilt from its dense matrix, so the
+    # half-square table H of ad_x_tables is checked independently
+    X, X2 = ad_x_tables(sys, N, root)[0], sparse_table(ad_x_squared(sys, N, root))
     want = reference_generator_product(reference(ring), M, ((X, t), (X2, t * t * ring.half)))
     got = Mat(ring, M, reduce=False) @ x_elem(sys, ring, root, t).mat
     assert np.array_equal(got.data, want)

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley import standardize
-from chevalley.decompose import compose, designated_positions
+from chevalley.decompose import RecoveryError, compose, designated_positions, gauge_normal_form
 from chevalley.group import GroupElement, congruence_member, graph_matrix, word_to_matrix, x_elem
 from chevalley.lie import ad_x, structure_constants, t_matrix
 from chevalley.matrices import Mat
 from chevalley.rings import make_ring
 from chevalley.roots import neg, system
 from chevalley.standardize import (
+    Certificate,
     build_commutation_system,
     build_linearized_system,
     kernel_dimension,
@@ -324,6 +325,44 @@ def test_certificate_inverts_residue_data_by_word(monkeypatch, sys_name, delta):
     assert cert.delta == delta
 
 
+def reference_certificate(sys, C, delta, residue_word):
+    """The certificate that multiplied g' out and inverted g' and A_delta one
+    by one: work = g'^-1 A_delta^-1 C."""
+    ring = C.ring
+    word = tuple(residue_word or ())
+    lifted = GroupElement(sys, ring, word_to_matrix(sys, ring, word), word)
+    a_delta = graph_matrix(sys, ring, delta or "identity")
+    work = lifted.inverse() @ a_delta.inverse() @ C
+    if not congruence_member(work):
+        return Certificate("nonstandard-or-outside-scope", delta, None, False)
+    try:
+        D, resid = gauge_normal_form(sys, work)
+    except RecoveryError:
+        return Certificate("nonstandard-or-outside-scope", delta, None, False)
+    ok = resid.is_identity()
+    return Certificate("standard" if ok else "nonstandard-or-outside-scope", delta,
+                       D.word_to_json() if ok else None, ok)
+
+
+@pytest.mark.parametrize("desc", ["zmod:3^3", "trunc:3:3"])
+@pytest.mark.parametrize("sys_name,delta", [("A2", "flip"), ("D4", "triality"), ("E6", "flip")])
+def test_certificate_residue_data_matches_reference(sys_name, delta, desc):
+    sy, ring = system(sys_name), make_ring(desc)
+    rng = random.Random(8)
+    inner = compose(sy, random_factored(sy, ring, rng))
+    # a residue-level word of every factor kind but the diagram one
+    two = ring.from_int(2)
+    word = tuple(("x", s, ring.from_int(i + 1)) for i, s in enumerate(sy.simple))
+    word += (("h", (two,) + (ring.one,) * (sy.rank - 1)), ("scalar", two), ("x", neg(sy.maximal), ring.one))
+    C = graph_matrix(sy, ring, delta) @ GroupElement(sy, ring, word_to_matrix(sy, ring, word), None) @ inner
+    pert = GroupElement(sy, ring, Mat.identity(ring, sy.n).with_entry(0, 2, ring.eps), None)
+    # standard; off the group by a radical entry; the diagram left out
+    for X, d, standard in ((C, delta, True), (C @ pert, delta, False), (C, None, False)):
+        cert = standardness_certificate(sy, X, delta=d, residue_word=word)
+        assert cert.standard == standard
+        assert cert.to_json() == reference_certificate(sy, X, d, word).to_json()
+
+
 def test_certificate_over_truncated_polynomials():
     from chevalley.suites import suite_certificate
 
@@ -341,15 +380,3 @@ def test_certificate_certified_elements_have_congruent_defects():
         assert cong
 
 
-def test_odd_square_is_refused_not_floored(monkeypatch):
-    # x_r(1) = I + X + X^2 / 2 is integral because X^2 is even; an odd entry
-    # must raise instead of being floored away
-    from chevalley import standardize
-
-    root = A2.maximal
-    X = ad_x(A2, structure_constants(A2), root)
-    odd = X @ X
-    odd[0, 0] += 1
-    monkeypatch.setattr(standardize, "ad_x_squared", lambda sys, N, r: odd)
-    with pytest.raises(ArithmeticError):
-        standardize._x_unit_int(A2, root)

@@ -159,8 +159,13 @@ def test_lazy_generator_data_equals_dense_scatter(token, desc, seed, pick):
     sys, ring = system(token), make_ring(desc)
     root = sys.roots[pick % len(sys.roots)]
     t = random_mat(ring, 1, seed).get(0, 0)
-    X, X2 = ad_x_tables(sys, structure_constants(sys), root)
-    want = reference_unipotent_data(ring, sys.n, ((X, t), (X2, t * t * ring.half)))
+    N = structure_constants(sys)
+    # the series' X^2 / 2 term, with X^2 rebuilt from its dense matrix, so the
+    # half-square table H of ad_x_tables is checked independently
+    X2 = ad_x_squared(sys, N, root)
+    dst, src = np.nonzero(X2)
+    X2 = SparseColumns(sys.n, zip(src.tolist(), dst.tolist(), X2[dst, src].tolist()))
+    want = reference_unipotent_data(ring, sys.n, ((ad_x_tables(sys, N, root)[0], t), (X2, t * t * ring.half)))
     assert np.array_equal(x_elem(sys, ring, root, t).mat.data, want)
 
 
