@@ -596,6 +596,16 @@ def test_entry_formula_equals_path_dfs(cell):
 
 
 
+def test_entry_formula_rejects_odd_quadratic_coefficient():
+    # the t^2 coefficient of an entry is X^2 / 2; an odd X^2 raises, it is
+    # not floored
+    from test_lie import odd_square_a2
+
+    sys, _, _ = odd_square_a2()
+    with pytest.raises(ArithmeticError, match="odd entry"):
+        entry_formula(sys, neg((1, 1)), (1, 1))
+
+
 @pytest.mark.parametrize("mu,nu,count", [
     ((-1, -2, -2, -3, -2, -1), (1, 2, 2, 3, 2, 1), 614),
     (("h", 0), ("h", 0), 4198),

@@ -4,8 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from chevalley import standardize
-from chevalley.decompose import entry_formula
 from chevalley.group import x_elem
 from chevalley.lie import (
     StructureConstants,
@@ -256,11 +254,14 @@ def test_a2_reference_display_relationship():
         assert np.array_equal(-ad_x(sys, N, r), REFERENCE_A2[name]), name
 
 
-def test_odd_square_is_refused_once_in_ad_x_tables():
-    # x_r(t) = I + t X + t^2 X^2 / 2 is integral because X^2 is even.  A
-    # bracket table with [x_a, x_-a] = h_1 + h_2 at a = a_1 of A2 makes
-    # X^2 send x_-a to -2 x_a + x_a, an odd entry: ad_x_tables refuses it,
-    # and every user of the tables raises rather than floor the half away
+def odd_square_a2():
+    """A2 with a bracket table skewed so that (ad x_a)^2 has an odd entry.
+
+    x_r(t) = I + t X + t^2 X^2 / 2 is integral because X^2 is even.  A
+    bracket table with [x_a, x_-a] = h_1 + h_2 at a = a_1 of A2 makes X^2
+    send x_-a to -2 x_a + x_a, an odd entry.  Returns (sys, N, a) with N
+    installed as the fresh system's structure constants.
+    """
     a = (1, 0)
 
     class SkewedN(StructureConstants):
@@ -272,12 +273,17 @@ def test_odd_square_is_refused_once_in_ad_x_tables():
 
     sys = build_root_system.__wrapped__("A", 2)   # a fresh system, caches empty
     N = sys._ad_cache["N"] = SkewedN(sys)
+    return sys, N, a
+
+
+def test_odd_square_is_refused_once_in_ad_x_tables():
+    # ad_x_tables refuses an odd square, and every user of the tables raises
+    # rather than floor the half away
+    sys, N, a = odd_square_a2()
     ring = make_ring("zmod:3^2")
     with pytest.raises(ArithmeticError, match="odd entry -1"):
         ad_x_tables(sys, N, a)
-    users = [lambda: standardize._x_unit_int(sys, a),
-             lambda: entry_formula(sys, neg((1, 1)), (1, 1)),
-             lambda: x_elem(sys, ring, a, ring.one),
+    users = [lambda: x_elem(sys, ring, a, ring.one),
              lambda: _off_identity(sys, ring, [a], [ring.one])]
     for use in users:
         with pytest.raises(ArithmeticError, match="odd entry"):

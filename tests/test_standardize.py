@@ -380,3 +380,13 @@ def test_certificate_certified_elements_have_congruent_defects():
         assert cong
 
 
+
+
+def test_odd_square_is_refused_not_floored():
+    # x_r(1) = I + X + X^2 / 2 is integral because X^2 is even; an odd entry
+    # must raise instead of being floored away
+    from test_lie import odd_square_a2
+
+    sys, _, a = odd_square_a2()
+    with pytest.raises(ArithmeticError, match="odd entry"):
+        standardize._x_unit_int(sys, a)
