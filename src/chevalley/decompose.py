@@ -115,13 +115,15 @@ def _unipotent_word(sys: RootSystem, f: FactoredElement) -> tuple[Factor, ...]:
             + tuple(("x", neg(p), u) for p, u in zip(sys.positive, f.u)))
 
 
-def _compose_inverse_mat(sys: RootSystem, f: FactoredElement) -> Mat:
-    """compose(f)^-1 as a matrix: the matrix of the inverse of compose's
-    unipotent word (`group.inverse_word`), times the inverse torus as one
-    diagonal, lam^-1 times the torus diagonal of the inverted s."""
+def _compose_inverse_mat(sys: RootSystem, f: FactoredElement, rows) -> Mat:
+    """Rows `rows` of compose(f)^-1, as a row stack: those rows of the
+    identity times the inverse of compose's unipotent word
+    (`group.inverse_word`), one product per generator, times the inverse
+    torus as one diagonal, lam^-1 times the torus diagonal of the inverted s."""
     ring, lam = f.ring, f.lam.inv()
     diag = [lam * d for d in torus_diagonal(sys, ring, tuple(x.inv() for x in f.s))]
-    return word_to_matrix(sys, ring, inverse_word(_unipotent_word(sys, f))) @ Mat.diagonal(ring, diag)
+    word = inverse_word(_unipotent_word(sys, f))
+    return word_to_matrix(sys, ring, word, rows) @ Mat.diagonal(ring, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +150,8 @@ class PositionTable:
     # integer inverse of the exponent matrix rows (1, diag_root): recovers
     # (lam, s_1..s_l) multiplicatively from the l+1 diagonal values
     exponent_inverse: tuple[tuple[int, ...], ...]
+    # the sorted distinct rows of the cells: the only rows a sweep forms
+    rows: tuple[int, ...]
 
     def cell_set(self) -> set[tuple[int, int]]:
         return {(c.row, c.col) for c in self.cells}
@@ -256,6 +260,7 @@ def _positions(kind: str, rank: int) -> PositionTable:
         cells=tuple(cells),
         diag_roots=tuple(diag_roots),
         exponent_inverse=expinv,
+        rows=tuple(sorted({c.row for c in cells})),
     )
     assert len(table.cells) == sys.n + 1
     assert len(table.cell_set()) == sys.n + 1
@@ -271,15 +276,19 @@ def designated_positions(sys: RootSystem) -> PositionTable:
 # ---------------------------------------------------------------------------
 
 
-def _solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
+def _solve_cells(sys: RootSystem, mat: Mat) -> FactoredElement:
     """Sweep until the designated cells of W = compose(f)^-1 mat match the
-    identity; return f and the last sweep's W.
+    identity; return f.
 
-    f starts trivial, so the first W is `mat` itself and the first sweep
-    reads its cells with no product; each later W is formed after f has been
-    updated.  A normal-form input is congruent to the identity mod J, and
-    each sweep gains one power of J, so over a ring of nilpotency k it takes
-    at most k - 1 product sweeps."""
+    A sweep reads only the cells, so W is formed only on their rows
+    (`PositionTable.rows`, 55 of 248 at E8): selecting rows commutes with
+    right products, so those rows of W are those rows of compose(f)^-1,
+    a row stack, times `mat`.  f starts trivial, so the first W is those
+    rows of `mat` itself and the first sweep makes no product; each later W
+    is formed after f has been updated, in 2m + 2 products.  A normal-form
+    input is congruent to the identity mod J, and each sweep gains one power
+    of J, so over a ring of nilpotency k it takes at most k - 1 product
+    sweeps."""
     ring = mat.ring
     if not ring.local:
         raise RingError("recovery needs a local ring")
@@ -289,18 +298,24 @@ def _solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
     for cell in table.cells:
         if cell.kind == "diag" and not is_unit(mat.get(cell.row, cell.col)):
             raise RecoveryError("not in normal form: designated diagonal entry is not a unit")
-        if not ring.is_unit_vec(ring.from_int(cell.lead).vec):  # pragma: no cover - guarded by design
-            raise RecoveryError(f"leading coefficient {cell.lead} is not a unit")
+    lead_inv = {}
+    for lead in {cell.lead for cell in table.cells}:
+        if not ring.is_unit_vec(ring.from_int(lead).vec):  # pragma: no cover - guarded by design
+            raise RecoveryError(f"leading coefficient {lead} is not a unit")
+        lead_inv[lead] = ring.from_int(lead).inv()
 
-    f, W = FactoredElement.trivial(sys, ring), mat
+    # the cells' positions in a row stack of the designated rows
+    at = {r: i for i, r in enumerate(table.rows)}
+    rows, cols = [at[c.row] for c in table.cells], [c.col for c in table.cells]
+    f, W = FactoredElement.trivial(sys, ring), Mat(ring, mat.data[:, table.rows], reduce=False)
     dvals = [ring.one] * (l + 1)
     for sweep in range((ring.nilpotency or 1) + 2):
         if sweep:
-            W = _compose_inverse_mat(sys, f) @ mat
+            W = _compose_inverse_mat(sys, f, table.rows) @ mat
         stable = True
         tnew, unew = list(f.t), list(f.u)
-        for cell in table.cells:
-            w = W.get(cell.row, cell.col)
+        for cell, vec in zip(table.cells, W.data[:, rows, cols].T.tolist()):
+            w = ring.elem(vec)
             if cell.kind == "diag":
                 if w != ring.one:
                     stable = False
@@ -308,13 +323,13 @@ def _solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
             else:
                 if w != ring.zero:
                     stable = False
-                    incr = w * ring.from_int(cell.lead).inv()
+                    incr = w * lead_inv[cell.lead]
                     if cell.kind == "t":
                         tnew[cell.index] = tnew[cell.index] + incr
                     else:
                         unew[cell.index] = unew[cell.index] + incr
         if stable:
-            return f, W
+            return f
         lam_s = []
         for row in table.exponent_inverse:
             v = ring.one
@@ -329,12 +344,13 @@ def _solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
 def recover(sys: RootSystem, X: GroupElement | Mat) -> FactoredElement:
     """Read the n + 1 designated cells of X and solve for the parameters.
 
-    The first residual the sweeps read is X itself (`_solve_cells`).  The
-    recovered factorization must reproduce X entirely; RecoveryError
-    otherwise.
+    The sweeps (`_solve_cells`) form only the designated rows of each
+    residual, so they do not see the rest of X: the recovered factorization
+    must reproduce X entirely, which compose(f) == X checks exactly;
+    RecoveryError otherwise.
     """
     mat = X.mat if isinstance(X, GroupElement) else X
-    f, _ = _solve_cells(sys, mat)
+    f = _solve_cells(sys, mat)
     if compose(sys, f).mat != mat:
         raise RecoveryError("matrix is not in the big-cell normal form")
     return f
@@ -343,10 +359,10 @@ def recover(sys: RootSystem, X: GroupElement | Mat) -> FactoredElement:
 def gauge_normal_form(sys: RootSystem, C: GroupElement) -> tuple[GroupElement, GroupElement]:
     """Return (D, C') with D in normal form, C' = D^{-1} C and C' matching the
     identity at every designated cell.  The cells are solved as in `recover`,
-    without its check that D = C: C' is the last sweep's residual W, which
-    is C itself when C's cells already match the identity."""
-    f, W = _solve_cells(sys, C.mat)
-    return compose(sys, f), GroupElement(sys, C.ring, W, None)
+    without its check that D = C; C' is formed in full once, as the matrix
+    of D's inverse word times C."""
+    D = compose(sys, _solve_cells(sys, C.mat))
+    return D, GroupElement(sys, C.ring, D.inverse().mat @ C.mat, None)
 
 
 # ---------------------------------------------------------------------------

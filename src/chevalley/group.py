@@ -105,8 +105,10 @@ def inverse_word(word) -> tuple[Factor, ...]:
     return tuple(_factor_inverse(f) for f in reversed(word))
 
 
-def word_to_matrix(sys: RootSystem, ring: Ring, word) -> Mat:
-    out = Mat.identity(ring, sys.n)
+def word_to_matrix(sys: RootSystem, ring: Ring, word, rows=None) -> Mat:
+    """The matrix of `word`, or only its rows `rows` as a row stack: those
+    rows of the identity times each factor in turn."""
+    out = Mat.identity(ring, sys.n, rows)
     for f in word:
         out = out @ _factor_matrix(sys, ring, f)
     return out
@@ -338,15 +340,11 @@ def _graph_signs(sys: RootSystem, perm: tuple[int, ...]) -> dict[Root, int]:
     return eps
 
 
-def graph_matrix(sys: RootSystem, ring: Ring, delta: str | tuple[int, ...]) -> GroupElement:
-    """Signed permutation realizing a diagram automorphism by conjugation."""
-    if isinstance(delta, str):
-        autos = diagram_automorphisms(sys)
-        if delta not in autos:
-            raise ValueError(f"{sys.name} has no diagram automorphism {delta!r}")
-        name, perm = delta, autos[delta]
-    else:
-        name, perm = "custom", tuple(delta)
+@lru_cache(maxsize=None)
+def _graph_int_matrix(kind: str, rank: int, perm: tuple[int, ...]) -> np.ndarray:
+    """The read-only integer signed permutation of the diagram symmetry
+    `perm`, built and checked once per system and symmetry."""
+    sys = build_root_system(kind, rank)
     _check_diagram_symmetry(sys, perm)
     eps = _graph_signs(sys, perm)
     n = sys.n
@@ -361,5 +359,19 @@ def graph_matrix(sys: RootSystem, ring: Ring, delta: str | tuple[int, ...]) -> G
         lhs = A @ ad_x(sys, N, r) @ A.T
         if not np.array_equal(lhs, eps[r] * ad_x(sys, N, apply_diagram(perm, r))):
             raise RuntimeError(f"diagram matrix fails on {r}")  # pragma: no cover
+    A.setflags(write=False)
+    return A
+
+
+def graph_matrix(sys: RootSystem, ring: Ring, delta: str | tuple[int, ...]) -> GroupElement:
+    """Signed permutation realizing a diagram automorphism by conjugation."""
+    if isinstance(delta, str):
+        autos = diagram_automorphisms(sys)
+        if delta not in autos:
+            raise ValueError(f"{sys.name} has no diagram automorphism {delta!r}")
+        name, perm = delta, autos[delta]
+    else:
+        name, perm = "custom", tuple(delta)
+    A = _graph_int_matrix(sys.kind, sys.rank, perm)
     word = (("perm", name, {"matrix": A, "inv": False}),)
     return GroupElement(sys, ring, Mat.from_int_matrix(ring, A), word)

@@ -5,6 +5,12 @@ a dense product is the owning ring's one tensor kernel (`Ring.mat_mul`), so
 products over Z/p^k, F_p[eps]/(eps^k) and extensions are all a few integer
 matmuls reduced once.
 
+n is the number of columns, the last axis.  A (depth, r, n) row stack, some
+r rows of an n x n matrix (`Mat.identity` with `rows`), is a left operand
+only: selecting rows commutes with right products, (E_R A) B = E_R (A B),
+and the dense kernel, the diagonal column scaling and the generator column
+update all work for any row count.  It is refused as a right operand.
+
 A matrix built by `Mat.diagonal` or `Mat.unipotent` records that structure as
 its factor and keeps only the factor: its dense stack is formed once, the
 first time `data` is read, and is read-only.  A product uses a factor on
@@ -87,7 +93,7 @@ class Mat:
         if data is not None:
             if reduce:
                 data = ring.mat_mod(np.asarray(data, dtype=np.int64))
-            n = data.shape[1]
+            n = data.shape[-1]
             data.setflags(write=False)
         self.n = n
         self._data = data
@@ -99,8 +105,8 @@ class Mat:
 
     @property
     def data(self) -> np.ndarray:
-        """The read-only (depth, n, n) stack; a diagonal or a generator forms
-        it here, once."""
+        """The read-only (depth, n, n) stack, (depth, r, n) for a row stack;
+        a diagonal or a generator forms it here, once."""
         if self._data is None:
             kind, parts = self.factor
             if kind == "diag":
@@ -115,9 +121,11 @@ class Mat:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def identity(cls, ring: Ring, n: int) -> "Mat":
-        data = np.zeros((ring.depth, n, n), dtype=np.int64)
-        data[0] = np.eye(n, dtype=np.int64) % ring.q
+    def identity(cls, ring: Ring, n: int, rows=None) -> "Mat":
+        """The n x n identity, or only its rows `rows` as a row stack."""
+        rows = range(n) if rows is None else rows
+        data = np.zeros((ring.depth, len(rows), n), dtype=np.int64)
+        data[0, np.arange(len(rows)), rows] = 1
         return cls(ring, data, reduce=False)
 
     @classmethod
@@ -158,7 +166,8 @@ class Mat:
 
     def __matmul__(self, other: "Mat") -> "Mat":
         ring = self.ring
-        if other.ring != ring or other.n != self.n:
+        square = other.factor is not None or other.data.shape[1] == other.n
+        if other.ring != ring or other.n != self.n or not square:
             raise RingError(f"cannot multiply {self!r} by {other!r}")
         left = self.factor[1] if self.factor is not None and self.factor[0] == "diag" else None
         if other.factor is None:

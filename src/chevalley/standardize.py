@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import RecoveryError, designated_positions, gauge_normal_form
+from .decompose import RecoveryError, _solve_cells, compose, designated_positions
 from .group import GroupElement, congruence_member, graph_matrix, inverse_word, word_to_matrix
 from .lie import SparseColumns, ad_x, ad_x_tables, structure_constants, t_matrix
 from .rings import RingError
@@ -239,6 +239,12 @@ def standardness_certificate(
     inverse of A_delta's word followed by that word (`inverse_word`), so g'
     itself is never multiplied out.  The residue-field factorization itself
     is out of scope here and must come from the caller.
+
+    C' (C itself without residue data) is then gauged: the designated cells
+    of D^-1 C' are solved as in `recover`, for D = compose(f) in normal
+    form.  D is invertible, so D^-1 C' is the identity exactly when
+    D == C', and that comparison decides the verdict: D^-1 C' is never
+    formed.
     """
     ring = C.ring
     if not ring.local:
@@ -255,7 +261,7 @@ def standardness_certificate(
             residual_zero=False,
         )
     try:
-        D, resid = gauge_normal_form(sys, work)
+        D = compose(sys, _solve_cells(sys, work.mat))
     except RecoveryError:
         return Certificate(
             verdict="nonstandard-or-outside-scope",
@@ -263,7 +269,7 @@ def standardness_certificate(
             d_word=None,
             residual_zero=False,
         )
-    ok = resid.is_identity()
+    ok = D.mat == work.mat
     return Certificate(
         verdict="standard" if ok else "nonstandard-or-outside-scope",
         delta=delta,

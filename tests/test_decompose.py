@@ -164,7 +164,7 @@ def test_torus_diag_matches_reference(token, desc, seed):
 def test_compose_inverse_inverts_compose(token, desc, seed):
     sys, ring = system(token), make_ring(desc)
     f = random_units_factored(sys, ring, random.Random(seed))
-    assert (decompose._compose_inverse_mat(sys, f) @ compose(sys, f).mat).is_identity()
+    assert (decompose._compose_inverse_mat(sys, f, range(sys.n)) @ compose(sys, f).mat).is_identity()
 
 
 def reference_compose_inverse_mat(sys: RootSystem, f: FactoredElement) -> Mat:
@@ -195,10 +195,26 @@ def test_compose_inverse_by_word_matches_reference(sys_name, ring_desc, monkeypa
     rng = random.Random(48)
     for _ in range(1 if sys_name == "E6" else 3):
         f = random_units_factored(sy, ring, rng)
-        got, products = counted_products(monkeypatch, decompose._compose_inverse_mat, sy, f)
-        want, products_ref = counted_products(monkeypatch, reference_compose_inverse_mat, sy, f)
+        got, products, _ = counted_products(monkeypatch, decompose._compose_inverse_mat, sy, f, range(sy.n))
+        want, products_ref, _ = counted_products(monkeypatch, reference_compose_inverse_mat, sy, f)
         assert got == want
         assert products == products_ref == 2 * sy.m + 1
+
+
+@pytest.mark.parametrize("ring_desc", TORUS_RINGS)
+@pytest.mark.parametrize("sys_name", ["A2", "D4", "E6"])
+def test_compose_inverse_rows_are_rows_of_the_inverse(sys_name, ring_desc, monkeypatch):
+    # the designated rows, and a few unsorted rows with a repeat: the row
+    # stack is those rows of the square inverse, from the same 2m + 1 products
+    sy, ring = system(sys_name), make_ring(ring_desc)
+    rng = random.Random(51)
+    f = random_units_factored(sy, ring, rng)
+    full = reference_compose_inverse_mat(sy, f)
+    for rows in (designated_positions(sy).rows, (sy.n - 1, 0, 3, 0)):
+        got, products, _ = counted_products(monkeypatch, decompose._compose_inverse_mat, sy, f, rows)
+        assert got.data.shape == (ring.depth, len(rows), sy.n)
+        assert np.array_equal(got.data, full.data[:, list(rows)])
+        assert products == 2 * sy.m + 1
 
 
 @pytest.mark.parametrize(
@@ -280,8 +296,9 @@ def test_recover_rejects_outside_normal_form():
 
 
 def reference_solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
-    """The sweep loop that formed W = compose(f)^-1 mat before reading it,
-    so its first sweep multiplied out the identity, verbatim."""
+    """The sweep loop that formed W = compose(f)^-1 mat in full before
+    reading it, so its first sweep multiplied out the identity, verbatim but
+    for the square inverse, now `reference_compose_inverse_mat`."""
     ring = mat.ring
     if not ring.local:
         raise RecoveryError("recovery needs a local ring")
@@ -297,7 +314,7 @@ def reference_solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, M
     f = FactoredElement.trivial(sys, ring)
     dvals = [ring.one] * (l + 1)
     for _ in range((ring.nilpotency or 1) + 2):
-        W = decompose._compose_inverse_mat(sys, f) @ mat
+        W = reference_compose_inverse_mat(sys, f) @ mat
         stable = True
         tnew, unew = list(f.t), list(f.u)
         for cell in table.cells:
@@ -328,27 +345,30 @@ def reference_solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, M
 
 
 def counted_products(monkeypatch, fn, *args):
-    """fn(*args) and the number of `Mat.__matmul__` calls it made."""
-    products = []
+    """fn(*args), the number of `Mat.__matmul__` calls it made and the last
+    product (None when there was none)."""
+    products, last = [], [None]
     matmul = Mat.__matmul__
 
     def counting(a, b):
         products.append(1)
-        return matmul(a, b)
+        last[0] = matmul(a, b)
+        return last[0]
 
     with monkeypatch.context() as patch:
         patch.setattr(Mat, "__matmul__", counting)
         result = fn(*args)
-    return result, len(products)
+    return result, len(products), last[0]
 
 
 def counted_sweeps(monkeypatch, sys: RootSystem, solve, mat: Mat):
-    """solve(sys, mat) and the number of product sweeps it made, each
-    2m + 2 `Mat.__matmul__` calls: 2m generators, the torus and the input."""
-    result, products = counted_products(monkeypatch, solve, sys, mat)
+    """solve(sys, mat), the number of product sweeps it made, each 2m + 2
+    `Mat.__matmul__` calls (2m generators, the torus and the input), and the
+    last product: the last sweep's W when there was a product sweep."""
+    result, products, last = counted_products(monkeypatch, solve, sys, mat)
     sweeps, rest = divmod(products, 2 * sys.m + 2)
     assert rest == 0
-    return result, sweeps
+    return result, sweeps, last
 
 
 @pytest.mark.parametrize("ring_desc", ["zmod:3^1", "zmod:3^2", "zmod:3^3", "zmod:3^4", "trunc:3:3"])
@@ -357,24 +377,27 @@ def test_sweeps_start_from_the_input(sys_name, ring_desc, monkeypatch):
     sy, ring = system(sys_name), make_ring(ring_desc)
     k = ring.nilpotency
     rng = random.Random(46)
+    rows = list(designated_positions(sy).rows)
     for _ in range(1 if sys_name == "E6" else 3):
         mat = compose(sy, random_factored(sy, ring, rng)).mat
-        (f, W), sweeps = counted_sweeps(monkeypatch, sy, decompose._solve_cells, mat)
-        (f_ref, W_ref), sweeps_ref = counted_sweeps(monkeypatch, sy, reference_solve_cells, mat)
-        assert f == f_ref and W == W_ref
+        f, sweeps, W = counted_sweeps(monkeypatch, sy, decompose._solve_cells, mat)
+        (f_ref, W_ref), sweeps_ref, _ = counted_sweeps(monkeypatch, sy, reference_solve_cells, mat)
+        assert f == f_ref
         assert sweeps == sweeps_ref - 1
         assert sweeps <= k - 1
-    # designated cells that already match the identity: no product at all,
-    # and the residual is the input itself
+        # the last sweep's W is formed on the designated rows only, and they
+        # are those rows of the square W; with no product sweep W is the input
+        W = W if sweeps else mat
+        assert np.array_equal(W.data, W_ref.data[:, rows] if sweeps else W_ref.data)
+    # designated cells that already match the identity: no product at all
     gen = np.random.default_rng(47)
     data = gen.integers(0, ring.q, (ring.depth, sy.n, sy.n))
     for c in designated_positions(sy).cells:
         data[:, c.row, c.col] = (ring.one if c.kind == "diag" else ring.zero).vec
     mat = Mat(ring, data)
-    (f, W), sweeps = counted_sweeps(monkeypatch, sy, decompose._solve_cells, mat)
-    assert sweeps == 0
+    f, sweeps, last = counted_sweeps(monkeypatch, sy, decompose._solve_cells, mat)
+    assert sweeps == 0 and last is None
     assert f == FactoredElement.trivial(sy, ring)
-    assert W == mat
 
 
 @pytest.mark.parametrize("ring_desc", ["zmod:3^3", "gf:3", "trunc:3:3"])
@@ -402,7 +425,7 @@ def test_gauge_matches_designated_cells(sys_name, ring_desc):
     # C' is exactly D^-1 C, and D C' = C
     for C, D_, resid_ in ((g, D, resid), (C2, D2, resid2)):
         f = recover(sy, D_)
-        assert resid_.mat == decompose._compose_inverse_mat(sy, f) @ C.mat
+        assert resid_.mat == decompose._compose_inverse_mat(sy, f, range(sy.n)) @ C.mat
         assert D_.mat @ resid_.mat == C.mat
 
 

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from chevalley import group
 from chevalley.group import (
     Character,
     GroupElement,
@@ -318,6 +320,29 @@ def test_graph_rejects_non_symmetry():
         graph_matrix(system("A3"), Z81, (1, 0, 2))
     with pytest.raises(ValueError):
         graph_matrix(A2, Z81, "triality")
+
+
+def test_graph_matrix_is_built_and_checked_once(monkeypatch):
+    # the signed permutation is cached per system and symmetry: repeated
+    # calls, over any ring, run its conjugation check A X_r A^T once
+    group._graph_int_matrix.cache_clear()
+    checks = []
+    ad_x = group.ad_x
+    monkeypatch.setattr(group, "ad_x", lambda *args: checks.append(args[2]) or ad_x(*args))
+    sys, trunc = system("D4"), make_ring("trunc:3:3")
+    first = graph_matrix(sys, Z81, "triality")
+    assert len(checks) == 2 * len(sys.roots)
+    A = first.word[0][2]["matrix"]
+    assert not A.flags.writeable
+    for ring in (Z81, trunc, Z81):
+        again = graph_matrix(sys, ring, "triality")
+        assert np.array_equal(again.word[0][2]["matrix"], A)
+        assert again.mat == Mat.from_int_matrix(ring, A)
+    assert graph_matrix(sys, Z81, (2, 1, 3, 0)).mat == first.mat
+    assert len(checks) == 2 * len(sys.roots)
+    # another symmetry of the same system is built and checked on its own
+    graph_matrix(sys, trunc, "swap")
+    assert len(checks) == 4 * len(sys.roots)
 
 
 def test_matrix_json_round_trip():

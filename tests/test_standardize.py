@@ -327,12 +327,15 @@ def test_certificate_inverts_residue_data_by_word(monkeypatch, sys_name, delta):
 
 def reference_certificate(sys, C, delta, residue_word):
     """The certificate that multiplied g' out and inverted g' and A_delta one
-    by one: work = g'^-1 A_delta^-1 C."""
+    by one, work = g'^-1 A_delta^-1 C (C itself without residue data), and
+    decided by forming C' = D^-1 work with `gauge_normal_form`."""
     ring = C.ring
-    word = tuple(residue_word or ())
-    lifted = GroupElement(sys, ring, word_to_matrix(sys, ring, word), word)
-    a_delta = graph_matrix(sys, ring, delta or "identity")
-    work = lifted.inverse() @ a_delta.inverse() @ C
+    work = C
+    if delta is not None or residue_word is not None:
+        word = tuple(residue_word or ())
+        lifted = GroupElement(sys, ring, word_to_matrix(sys, ring, word), word)
+        a_delta = graph_matrix(sys, ring, delta or "identity")
+        work = lifted.inverse() @ a_delta.inverse() @ C
     if not congruence_member(work):
         return Certificate("nonstandard-or-outside-scope", delta, None, False)
     try:
@@ -361,6 +364,29 @@ def test_certificate_residue_data_matches_reference(sys_name, delta, desc):
         cert = standardness_certificate(sy, X, delta=d, residue_word=word)
         assert cert.standard == standard
         assert cert.to_json() == reference_certificate(sy, X, d, word).to_json()
+
+
+@pytest.mark.parametrize("desc", ["zmod:3^3", "trunc:3:3"])
+@pytest.mark.parametrize("sys_name", ["A2", "D4", "E6"])
+def test_certificate_matches_gauge_reference(sys_name, desc):
+    # the verdict by D == C against the one by forming C' = D^-1 C
+    sy, ring = system(sys_name), make_ring(desc)
+    rng = random.Random(9)
+    j = ring.eps ** (ring.k - 1)
+    g = eq3_element(sy, ring, rng)
+    cell = next(c for c in designated_positions(sy).cells if c.kind == "u")
+    suite_pert = g.mat @ Mat.identity(ring, sy.n).with_entry(0, 2, j)
+    at_cell = g.mat.with_entry(cell.row, cell.col, g.mat.get(cell.row, cell.col) + j)
+    cases = (
+        (g, True),
+        (GroupElement(sy, ring, suite_pert, None), False),
+        (GroupElement(sy, ring, at_cell, None), False),
+        (x_elem(sy, ring, sy.simple[0], ring.one) @ g, False),
+    )
+    for C, standard in cases:
+        cert = standardness_certificate(sy, C)
+        assert cert.standard == standard
+        assert cert.to_json() == reference_certificate(sy, C, None, None).to_json()
 
 
 def test_certificate_over_truncated_polynomials():

@@ -21,7 +21,7 @@ from chevalley.group import x_elem
 from chevalley.lie import SparseColumns, ad_x, ad_x_squared, ad_x_tables, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import _MAX_MODULUS, RingError, _is_prime, make_ring
-from chevalley.roots import system
+from chevalley.roots import neg, system
 from chevalley.suites import random_factored
 from chevalley.torusext import _off_identity
 
@@ -70,6 +70,28 @@ def test_diagonal_product_equals_dense(args):
     M = random_mat(ring, sys.n, seed)
     assert D.factor is not None
     assert M @ D == dense(M, D)
+
+
+@pytest.mark.parametrize("desc", RINGS[:5])
+@pytest.mark.parametrize("token", SYSTEMS)
+def test_row_stack_products_are_rows_of_square_products(token, desc):
+    # rows of M, as a left operand, times a generator, a diagonal or a dense
+    # matrix: those rows of the square product, by the same kernels
+    sys, ring = system(token), make_ring(desc)
+    M, B = random_mat(ring, sys.n, 61), random_mat(ring, sys.n, 62)
+    t = random_mat(ring, 1, 63).get(0, 0)
+    D = Mat.diagonal(ring, random_mat(ring, sys.n, 64).diagonal_elems())
+    for rows in ([0, 2, sys.n - 1], [sys.n - 1, 1, 1]):
+        R = Mat(ring, M.data[:, rows], reduce=False)
+        assert R.n == sys.n
+        for root in (sys.roots[0], sys.maximal, neg(sys.maximal)):
+            X = x_elem(sys, ring, root, t).mat
+            assert np.array_equal((R @ X).data, (M @ X).data[:, rows])
+        for right in (D, B):
+            assert np.array_equal((R @ right).data, (M @ right).data[:, rows])
+        # a row stack is a left operand only
+        with pytest.raises(RingError):
+            B @ R
 
 
 @pytest.mark.parametrize("desc", RINGS)
