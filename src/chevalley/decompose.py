@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .group import GroupElement, Factor, inverse_word, scalar_elem, t_k, torus_diagonal, word_to_matrix, x_elem
 from .lie import ad_x_tables, h_index, root_index, structure_constants
@@ -388,15 +389,33 @@ class EntryFormula:
     terms: tuple[tuple[int, tuple[tuple[str, int], ...]], ...]
 
     def evaluate(self, sys: RootSystem, f: FactoredElement) -> RingElem:
+        """The entry at f.  Terms are walked in lexicographic order of their
+        factor tuples, so each term shares its longest common prefix with the
+        one before it; `prefix[k]` holds the product of the first k factors
+        of the current term, and a term costs one product per factor past
+        the shared prefix.  Coefficients are summed per slot as integers and
+        reduced once."""
         ring = f.ring
         d_row = _torus_diag(sys, f)[self.row]
-        total = ring.zero
-        for coeff, factors in self.terms:
-            v = ring.from_int(coeff)
-            for kind, idx in factors:
-                v = v * (f.t[idx] if kind == "t" else f.u[idx])
-            total = total + v
-        return d_row * total
+        params = {("t", i): x.vec for i, x in enumerate(f.t)}
+        params.update({("u", i): x.vec for i, x in enumerate(f.u)})
+        total = [0] * ring.depth
+        prefix = [ring.one.vec]
+        last: tuple = ()
+        for coeff, factors in sorted(self.terms, key=itemgetter(1)):
+            k = 0
+            for a, b in zip(last, factors):
+                if a != b:
+                    break
+                k += 1
+            del prefix[k + 1:]
+            v = prefix[-1]
+            for factor in factors[k:]:
+                v = ring.mul_vec(v, params[factor])
+                prefix.append(v)
+            total = [s + coeff * x for s, x in zip(total, v)]
+            last = factors
+        return d_row * ring.elem(total)
 
 
 def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:

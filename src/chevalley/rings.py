@@ -215,10 +215,6 @@ class Ring:
     def one(self) -> RingElem:
         return self.from_int(1)
 
-    @cached_property
-    def half(self) -> RingElem:
-        return self.from_int(2).inv()
-
     def coerce(self, x) -> Vec:
         if isinstance(x, RingElem):
             if x.ring.descriptor != self.descriptor:

@@ -155,20 +155,49 @@ def build_commutation_system(sys: RootSystem, p: int) -> LinSystem:
     )
 
 
+def _peel_singletons(rows, cols, vals):
+    """Peel the rows with one live entry off a canonical COO.
+
+    Each round makes the column of every row with exactly one entry a pivot
+    and drops those columns from every row, until no such row is left.
+    Modulo the span of the unit vectors e_c of the columns peeled so far, a
+    row with one live entry is a nonzero multiple of e_c, so the rank is the
+    number of peeled columns plus the rank of what is left (the core).  Only
+    the nonzero pattern is read, which is why the COO must be canonical: an
+    entry that is 0 mod p, or duplicates that cancel, would peel a false
+    pivot.  Returns (peeled columns, core rows, core columns, core values),
+    the core still sorted by (row, column).
+    """
+    peeled = np.zeros(int(cols.max()) + 1 if len(cols) else 0, dtype=bool)
+    while len(rows):
+        new = rows[1:] != rows[:-1]
+        single = np.r_[True, new] & np.r_[new, True]
+        if not single.any():
+            break
+        peeled[cols[single]] = True
+        live = ~peeled[cols]
+        rows, cols, vals = rows[live], cols[live], vals[live]
+    return int(np.count_nonzero(peeled)), rows, cols, vals
+
+
 def rank_mod_p(matrix: np.ndarray, p: int) -> int:
     """Rank over F_p of an integer COO matrix (3, nnz): row, column, value.
 
-    Sparse row echelon in exact Python ints.  Rows are taken in order, each
+    Any integer COO is accepted.  It is made canonical (one already
+    canonical, as the `build_*_system` matrices are, is not sorted again)
+    and its singleton rows are peeled (`_peel_singletons`).  The core left
+    is ranked by a
+    sparse row echelon in exact Python ints.  Rows are taken in order, each
     as a dict from column to value.  A row is reduced by the pivot row of
     its leading (smallest) column for as long as that column has one; then
     it becomes the pivot row of its leading column, scaled to a leading 1,
     or it has vanished.  The scan stops once every column that holds a
-    nonzero has a pivot.  Any integer COO is accepted; one that is already
-    canonical, as the `build_*_system` matrices are, is not sorted again.
+    nonzero has a pivot.
     """
     rows, cols, vals = np.asarray(matrix, dtype=np.int64)
     if not _is_canonical(rows, cols, vals, p):
         rows, cols, vals = _coo(rows, cols, vals, p)
+    peeled, rows, cols, vals = _peel_singletons(rows, cols, vals)
     bounds = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]
     cols, vals = cols.tolist(), vals.tolist()
     full = len(set(cols))
@@ -191,7 +220,7 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
                     row[c] = x
                 else:
                     del row[c]
-    return len(pivots)
+    return peeled + len(pivots)
 
 
 def kernel_dimension(lin: LinSystem) -> int:

@@ -483,6 +483,59 @@ def test_entry_formula_matches_compose_d4_sampled():
         assert ef.evaluate(sys, f) == X.get(ef.row, ef.col)
 
 
+def termwise_evaluate(ef: EntryFormula, sys: RootSystem, f: FactoredElement):
+    """Each term multiplied out on its own, in the order listed: the
+    reference for `EntryFormula.evaluate`'s shared prefix products."""
+    ring = f.ring
+    total = ring.zero
+    for coeff, factors in ef.terms:
+        v = ring.from_int(coeff)
+        for kind, idx in factors:
+            v = v * (f.t[idx] if kind == "t" else f.u[idx])
+        total = total + v
+    return decompose._torus_diag(sys, f)[ef.row] * total
+
+
+@pytest.mark.parametrize("desc", ["zmod:3^4", "gf:10007", "trunc:3:3", "ext:zmod:5^2:2:3"])
+def test_entry_formula_evaluate_matches_termwise_reference(desc, monkeypatch):
+    sys, ring = system("D4"), make_ring(desc)
+    rng = random.Random(49)
+    # the product is a polynomial identity, so the parameters are arbitrary
+    f = FactoredElement(
+        ring=ring,
+        lam=ring.random_unit(rng),
+        s=tuple(ring.random_unit(rng) for _ in range(sys.rank)),
+        t=tuple(ring.random_element(rng) for _ in range(sys.m)),
+        u=tuple(ring.random_element(rng) for _ in range(sys.m)),
+    )
+    products = []
+    mul_vec = ring.mul_vec
+    monkeypatch.setattr(ring, "mul_vec", lambda a, b: products.append(1) or mul_vec(a, b))
+
+    def evaluate_counted(ef):
+        products.clear()
+        value = ef.evaluate(sys, f)
+        return value, len(products)
+
+    labels = list(sys.roots) + [("h", i) for i in range(sys.rank)]
+    cells = [(labels[rng.randrange(len(labels))], labels[rng.randrange(len(labels))]) for _ in range(8)]
+    cells += [(neg(sys.positive[-1]), sys.positive[-1]), (("h", 1), ("h", 1))]
+    for mu, nu in cells:
+        ef = entry_formula(sys, mu, nu)
+        _, fixed = evaluate_counted(dataclasses.replace(ef, terms=()))
+        # out of lexicographic order, with repeated factor tuples and one
+        # term's factors a prefix of another's
+        shuffled = list(ef.terms) + [(5, (("u", 1), ("t", 0))), (-3, (("t", 0),)), (2, ()), (1, (("t", 0),))]
+        rng.shuffle(shuffled)
+        for formula in (ef, dataclasses.replace(ef, terms=tuple(shuffled))):
+            value, count = evaluate_counted(formula)
+            assert value == termwise_evaluate(formula, sys, f), (mu, nu)
+            # one product per distinct nonempty prefix, beside the torus
+            # diagonal and the final product that every formula makes
+            prefixes = {fs[:i] for _, fs in formula.terms for i in range(1, len(fs) + 1)}
+            assert count == fixed + len(prefixes), (mu, nu)
+
+
 def test_entry_formula_shapes():
     # the chain-top diagonal cell is the bare torus value
     g1 = (1, 1)

@@ -301,7 +301,7 @@ def test_generator_update_matches_reference(args):
     # the series' X^2 / 2 term, with X^2 rebuilt from its dense matrix, so the
     # half-square table H of ad_x_tables is checked independently
     X, X2 = ad_x_tables(sys, N, root)[0], sparse_table(ad_x_squared(sys, N, root))
-    want = reference_generator_product(reference(ring), M, ((X, t), (X2, t * t * ring.half)))
+    want = reference_generator_product(reference(ring), M, ((X, t), (X2, t * t * ring.from_int(2).inv())))
     got = Mat(ring, M, reduce=False) @ x_elem(sys, ring, root, t).mat
     assert np.array_equal(got.data, want)
 

@@ -81,6 +81,35 @@ def dense_rank_mod_p(matrix, p):
     return r
 
 
+def echelon_rank_mod_p(matrix, p):
+    """The sparse dict echelon alone, without the singleton peel: the rank
+    `rank_mod_p` gave before it peeled.  Reference for the peeled rank."""
+    rows, cols, vals = standardize._coo(*np.asarray(matrix, dtype=np.int64), p)
+    bounds = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]
+    cols, vals = cols.tolist(), vals.tolist()
+    full = len(set(cols))
+    pivots = {}
+    for s, e in zip(bounds, bounds[1:]):
+        if len(pivots) == full:
+            break
+        row = dict(zip(cols[s:e], vals[s:e]))
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in piv.items():
+                x = (row.get(c, 0) - f * v) % p
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)
+
+
 def naive_block_assembly(sys, p):
     """Independent loop-built copy of the linearized system (oracle)."""
     table = designated_positions(sys)
@@ -207,7 +236,7 @@ def sparse_integer_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_integer_matrices(), st.sampled_from([2, 3, 5, 7]))
 def test_sparse_rank_matches_dense_reference(M, p):
-    assert rank_mod_p(coo(M), p) == dense_rank_mod_p(M, p)
+    assert rank_mod_p(coo(M), p) == dense_rank_mod_p(M, p) == echelon_rank_mod_p(coo(M), p)
     # the rank does not depend on how the entries are listed, nor on entries
     # split into duplicates that sum to them
     perm = np.random.default_rng(0).permutation(coo(M).shape[1])
@@ -216,6 +245,32 @@ def test_sparse_rank_matches_dense_reference(M, p):
     split = np.concatenate([[rows, cols, vals + p + 1], [rows, cols, -np.ones_like(vals)]], axis=1)
     shuffle = np.random.default_rng(1).permutation(split.shape[1])
     assert rank_mod_p(split[:, shuffle], p) == dense_rank_mod_p(M, p)
+
+
+@pytest.mark.parametrize("token,build,p", [
+    *((token, build, p) for token in ("A2", "D4") for build in ("linearized", "commutation") for p in (3, 5)),
+    ("D5", "linearized", 3),
+])
+def test_peeled_rank_matches_echelon_on_the_systems(token, build, p):
+    builder = build_linearized_system if build == "linearized" else build_commutation_system
+    lin = builder(system(token), p)
+    assert rank_mod_p(lin.matrix, p) == echelon_rank_mod_p(lin.matrix, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rank_peels_no_false_pivot_from_a_non_canonical_coo(p):
+    # row 0: one entry equal to p; row 1: duplicates summing to 0 mod p;
+    # row 2: duplicates that cancel beside a live entry; row 3: a true
+    # singleton.  A peel of the entries before they are summed and reduced
+    # would pivot column 0, and one of each row's distinct columns column 1.
+    entries = [(0, 0, p), (1, 1, 2), (1, 1, -2), (1, 1, p), (2, 2, 1), (2, 3, 1), (2, 3, -1), (3, 4, 1)]
+    M = np.zeros((4, 5), dtype=np.int64)
+    for r, c, v in entries:
+        M[r, c] += v
+    rows, cols, vals = np.array(entries, dtype=np.int64).T
+    for order in (np.arange(len(entries)), np.arange(len(entries))[::-1]):
+        matrix = np.stack([rows[order], cols[order], vals[order]])
+        assert rank_mod_p(matrix, p) == echelon_rank_mod_p(matrix, p) == dense_rank_mod_p(M, p) == 2
 
 
 def test_rank_does_not_sort_a_canonical_coo_again(monkeypatch):

@@ -187,7 +187,7 @@ def test_lazy_generator_data_equals_dense_scatter(token, desc, seed, pick):
     X2 = ad_x_squared(sys, N, root)
     dst, src = np.nonzero(X2)
     X2 = SparseColumns(sys.n, zip(src.tolist(), dst.tolist(), X2[dst, src].tolist()))
-    want = reference_unipotent_data(ring, sys.n, ((ad_x_tables(sys, N, root)[0], t), (X2, t * t * ring.half)))
+    want = reference_unipotent_data(ring, sys.n, ((ad_x_tables(sys, N, root)[0], t), (X2, t * t * ring.from_int(2).inv())))
     assert np.array_equal(x_elem(sys, ring, root, t).mat.data, want)
 
 
