@@ -6,13 +6,17 @@ The normal form is
         * x_{-b_1}(u_1) ... x_{-b_m}(u_m)
 
 over a local ring with nilpotent radical J, where lam and the s_i are units
-congruent to 1 mod J and the t_i, u_i lie in J.  Exactly n + 1 matrix cells
-pin the n + 1 parameters: one diagonal cell per torus degree of freedom and
-one cell for each unipotent parameter, laid out along the marked root chain.
+(congruent to 1 mod J in the paper's congruence subgroup; `compose` takes
+any units) and the t_i, u_i lie in J.  Exactly n + 1 matrix cells pin the
+n + 1 parameters: one diagonal cell per torus degree of freedom and one
+cell for each unipotent parameter, laid out along the marked root chain.
 Recovery solves the cell equations by a J-adic fixed point: each unknown's
-designated cell carries it with a unit coefficient while every other
-occurrence is damped by a radical factor, so each sweep gains one power of J
-and nilpotency forces exact termination.
+designated cell carries it with a unit coefficient, times the torus value of
+its row, while every other occurrence is damped by a radical factor.  The
+first sweep, which solves the torus before the unipotent cells, leaves the
+parameters right mod J^2, each later sweep gains one more power of J, and
+nilpotency (J^k = 0) makes the parameters exact after max(k - 1, 1)
+sweeps.
 """
 
 from __future__ import annotations
@@ -21,7 +25,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .group import GroupElement, Factor, inverse_word, scalar_elem, t_k, torus_diagonal, word_to_matrix, x_elem
+from .group import (
+    Character,
+    Factor,
+    GroupElement,
+    inverse_word,
+    scalar_elem,
+    t_k,
+    torus_diagonal,
+    word_to_matrix,
+    x_elem,
+)
 from .lie import ad_x_tables, h_index, root_index, structure_constants
 from .matrices import Mat
 from .rings import Ring, RingElem, RingError, is_unit
@@ -88,11 +102,6 @@ class FactoredElement:
         )
 
 
-def _torus_diag(sys: RootSystem, f: FactoredElement) -> list[RingElem]:
-    """The diagonal of lam * t_1(s_1) ... t_l(s_l)."""
-    return [f.lam * d for d in torus_diagonal(sys, f.ring, f.s)]
-
-
 def compose(sys: RootSystem, f: FactoredElement) -> GroupElement:
     """Multiply out the normal form exactly (word recorded)."""
     ring = f.ring
@@ -116,15 +125,21 @@ def _unipotent_word(sys: RootSystem, f: FactoredElement) -> tuple[Factor, ...]:
             + tuple(("x", neg(p), u) for p, u in zip(sys.positive, f.u)))
 
 
+def _inverse_torus_diag(sys: RootSystem, lam: RingElem, s: tuple[RingElem, ...]) -> list[RingElem]:
+    """The diagonal of (lam * t_1(s_1) ... t_l(s_l))^-1: lam^-1 times the
+    torus diagonal of the inverted s."""
+    lam_inv = lam.inv()
+    return [lam_inv * d for d in torus_diagonal(sys, lam.ring, tuple(x.inv() for x in s))]
+
+
 def _compose_inverse_mat(sys: RootSystem, f: FactoredElement, rows) -> Mat:
     """Rows `rows` of compose(f)^-1, as a row stack: those rows of the
     identity times the inverse of compose's unipotent word
     (`group.inverse_word`), one product per generator, times the inverse
-    torus as one diagonal, lam^-1 times the torus diagonal of the inverted s."""
-    ring, lam = f.ring, f.lam.inv()
-    diag = [lam * d for d in torus_diagonal(sys, ring, tuple(x.inv() for x in f.s))]
+    torus as one diagonal (`_inverse_torus_diag`)."""
+    ring = f.ring
     word = inverse_word(_unipotent_word(sys, f))
-    return word_to_matrix(sys, ring, word, rows) @ Mat.diagonal(ring, diag)
+    return word_to_matrix(sys, ring, word, rows) @ Mat.diagonal(ring, _inverse_torus_diag(sys, f.lam, f.s))
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +293,24 @@ def designated_positions(sys: RootSystem) -> PositionTable:
 
 
 def _solve_cells(sys: RootSystem, mat: Mat) -> FactoredElement:
-    """Sweep until the designated cells of W = compose(f)^-1 mat match the
+    """Sweep the designated cells of W = compose(f)^-1 mat towards the
     identity; return f.
 
     A sweep reads only the cells, so W is formed only on their rows
     (`PositionTable.rows`, 55 of 248 at E8): selecting rows commutes with
     right products, so those rows of W are those rows of compose(f)^-1,
     a row stack, times `mat`.  f starts trivial, so the first W is those
-    rows of `mat` itself and the first sweep makes no product; each later W
-    is formed after f has been updated, in 2m + 2 products.  A normal-form
-    input is congruent to the identity mod J, and each sweep gains one power
-    of J, so over a ring of nilpotency k it takes at most k - 1 product
-    sweeps."""
+    rows of `mat` itself and the first sweep makes no product.  It solves
+    the torus from the l + 1 diagonal cells first, then divides each t/u
+    cell by that torus's value on the cell's row: X = lam T U+ U- scales
+    the rows of U+ U- by lam T, so on a normal-form input f is then right
+    mod J^2, whatever its units.  Each later W is formed after f has been
+    updated, in 2m + 2 products; at product sweep j its cells must lie in
+    I + J^(j+1) (RecoveryError otherwise), and the update gains one more
+    power of J.  So over a ring of nilpotency k, a normal-form input's f is
+    exact after max(k - 1, 1) sweeps, max(k - 2, 0) of them product sweeps,
+    and f is returned then, or as soon as the cells match the identity.
+    Exactness on the rest of the matrix is the callers' check."""
     ring = mat.ring
     if not ring.local:
         raise RingError("recovery needs a local ring")
@@ -305,32 +326,25 @@ def _solve_cells(sys: RootSystem, mat: Mat) -> FactoredElement:
             raise RecoveryError(f"leading coefficient {lead} is not a unit")
         lead_inv[lead] = ring.from_int(lead).inv()
 
-    # the cells' positions in a row stack of the designated rows
+    # the cells' positions in a row stack of the designated rows; the l + 1
+    # diagonal cells come first
     at = {r: i for i, r in enumerate(table.rows)}
     rows, cols = [at[c.row] for c in table.cells], [c.col for c in table.cells]
+    diag, unipotent = table.cells[: l + 1], table.cells[l + 1:]
     f, W = FactoredElement.trivial(sys, ring), Mat(ring, mat.data[:, table.rows], reduce=False)
     dvals = [ring.one] * (l + 1)
-    for sweep in range((ring.nilpotency or 1) + 2):
+    for sweep in range(max(ring.nilpotency - 1, 1)):
         if sweep:
             W = _compose_inverse_mat(sys, f, table.rows) @ mat
-        stable = True
-        tnew, unew = list(f.t), list(f.u)
-        for cell, vec in zip(table.cells, W.data[:, rows, cols].T.tolist()):
-            w = ring.elem(vec)
-            if cell.kind == "diag":
-                if w != ring.one:
-                    stable = False
-                    dvals[cell.index] = dvals[cell.index] * w
-            else:
-                if w != ring.zero:
-                    stable = False
-                    incr = w * lead_inv[cell.lead]
-                    if cell.kind == "t":
-                        tnew[cell.index] = tnew[cell.index] + incr
-                    else:
-                        unew[cell.index] = unew[cell.index] + incr
-        if stable:
+        values = [ring.elem(vec) for vec in W.data[:, rows, cols].T.tolist()]
+        residues = [w - ring.one for w in values[: l + 1]] + values[l + 1:]
+        if not any(any(r.vec) for r in residues):
             return f
+        if sweep and not all(ring.radical_power_vec(r.vec, sweep + 1) for r in residues):
+            raise RecoveryError(f"not in normal form: a designated cell of product sweep {sweep} "
+                                f"is off the identity outside J^{sweep + 1}")
+        for cell, w in zip(diag, values):
+            dvals[cell.index] = dvals[cell.index] * w
         lam_s = []
         for row in table.exponent_inverse:
             v = ring.one
@@ -338,8 +352,20 @@ def _solve_cells(sys: RootSystem, mat: Mat) -> FactoredElement:
                 if e:
                     v = v * d**e
             lam_s.append(v)
-        f = FactoredElement(ring=ring, lam=lam_s[0], s=tuple(lam_s[1:]), t=tuple(tnew), u=tuple(unew))
-    raise RecoveryError("recovery did not converge; not in normal form")
+        lam, s = lam_s[0], tuple(lam_s[1:])
+        # the input's t/u cells carry the torus's value on their row
+        scale = _inverse_torus_diag(sys, lam, s) if sweep == 0 else None
+        tnew, unew = list(f.t), list(f.u)
+        for cell, w in zip(unipotent, values[l + 1:]):
+            incr = w * lead_inv[cell.lead]
+            if scale is not None:
+                incr = incr * scale[cell.row]
+            if cell.kind == "t":
+                tnew[cell.index] = tnew[cell.index] + incr
+            else:
+                unew[cell.index] = unew[cell.index] + incr
+        f = FactoredElement(ring=ring, lam=lam, s=s, t=tuple(tnew), u=tuple(unew))
+    return f
 
 
 def recover(sys: RootSystem, X: GroupElement | Mat) -> FactoredElement:
@@ -361,9 +387,14 @@ def gauge_normal_form(sys: RootSystem, C: GroupElement) -> tuple[GroupElement, G
     """Return (D, C') with D in normal form, C' = D^{-1} C and C' matching the
     identity at every designated cell.  The cells are solved as in `recover`,
     without its check that D = C; C' is formed in full once, as the matrix
-    of D's inverse word times C."""
+    of D's inverse word times C, and RecoveryError is raised when its
+    designated cells do not match the identity."""
     D = compose(sys, _solve_cells(sys, C.mat))
-    return D, GroupElement(sys, C.ring, D.inverse().mat @ C.mat, None)
+    resid = D.inverse().mat @ C.mat
+    for c in designated_positions(sys).cells:
+        if resid.get(c.row, c.col) != (1 if c.kind == "diag" else 0):
+            raise RecoveryError("cannot gauge: a designated cell of D^-1 C is not the identity's")
+    return D, GroupElement(sys, C.ring, resid, None)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +408,9 @@ class EntryFormula:
 
     Each term is (integer coefficient, factors) with factors a tuple of
     ("t"|"u", positive-root index); the whole sum is multiplied by the torus
-    diagonal value of the row.  Terms whose path crosses the Cartan subspace
-    carry integer coefficients beyond +-1.
+    diagonal value of the row, lam times the character of s on the row's
+    root (lam alone on a Cartan row).  Terms whose path crosses the Cartan
+    subspace carry integer coefficients beyond +-1.
     """
 
     system: str
@@ -396,7 +428,8 @@ class EntryFormula:
         the shared prefix.  Coefficients are summed per slot as integers and
         reduced once."""
         ring = f.ring
-        d_row = _torus_diag(sys, f)[self.row]
+        kind, root = self.row_label
+        d_row = f.lam if kind == "h" else f.lam * Character(ring, f.s).value(root)
         params = {("t", i): x.vec for i, x in enumerate(f.t)}
         params.update({("u", i): x.vec for i, x in enumerate(f.u)})
         total = [0] * ring.depth

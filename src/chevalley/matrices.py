@@ -252,7 +252,9 @@ class Mat:
     @classmethod
     def from_json(cls, ring: Ring, obj) -> "Mat":
         """Parse {"n", "ring", "rows"}: exactly n rows of n entries, each an
-        integer or a list of ring.depth integers."""
+        integer or a list of ring.depth integers.  A row of plain integers
+        is reduced into slot 0 in one comprehension; any other row goes
+        entry by entry through `Ring.vec_from_json`, which refuses bools."""
         if not isinstance(obj, dict):
             raise RingError("matrix JSON must be an object with n, ring and rows")
         n, rows = obj.get("n"), obj.get("rows")
@@ -263,13 +265,19 @@ class Mat:
         if not isinstance(rows, list) or len(rows) != n:
             got = f"{len(rows)} rows" if isinstance(rows, list) else type(rows).__name__
             raise RingError(f"matrix rows must be a list of n = {n} rows, not {got}")
-        vecs = []
+        q = ring.q
+        data = np.zeros((ring.depth, n, n), dtype=np.int64)
+        other = {}
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != n:
                 raise RingError(f"matrix row {i} is not a list of n = {n} entries")
-            vecs += [ring.vec_from_json(e) for e in row]
-        data = np.array(vecs, dtype=np.int64).reshape(n, n, ring.depth).transpose(2, 0, 1)
-        return cls(ring, np.ascontiguousarray(data), reduce=False)
+            if all(type(e) is int for e in row):
+                data[0, i] = [e % q for e in row]
+            else:
+                other[i] = [ring.vec_from_json(e) for e in row]
+        if other:
+            data[:, list(other)] = np.array(list(other.values()), dtype=np.int64).transpose(2, 0, 1)
+        return cls(ring, data, reduce=False)
 
     def __repr__(self) -> str:
         return f"Mat({self.ring.descriptor}, n={self.n})"

@@ -449,6 +449,14 @@ class LocalRing(Ring):
     def radical_vec(self, a: Vec) -> bool:
         return a[0] % self.p == 0
 
+    def radical_power_vec(self, a: Vec, e: int) -> bool:
+        """a in J^e: slot 0 divisible by p^e for zmod and gf, slots below e
+        zero for trunc; J^e = 0 from e = k on."""
+        e = min(e, self.k)
+        if self.kind == "trunc":
+            return not any(a[:e])
+        return a[0] % self.p**e == 0
+
     def mat_radical_all(self, data: np.ndarray) -> bool:
         return bool((data[0] % self.p == 0).all())
 

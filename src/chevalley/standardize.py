@@ -135,18 +135,20 @@ def build_linearized_system(sys: RootSystem, p: int) -> LinSystem:
 
 
 def build_commutation_system(sys: RootSystem, p: int) -> LinSystem:
-    """Control system: plain commutation with every x_alpha(1), no frozen cells."""
+    """Control system: plain commutation with every x_alpha(1), no frozen cells.
+
+    Each block's rows lie in a range of their own, above the block before,
+    so the blocks are made canonical one at a time and concatenated: only
+    one block's raw entries are held at once."""
     n = sys.n
-    rows, cols, vals = [], [], []
+    blocks = []
     for bi, r in enumerate(sys.roots):
         eq, cell, v = _commutator_entries(_x_unit_int(sys, r))
-        rows.append(bi * n * n + eq)
-        cols.append(cell)
-        vals.append(v)
+        blocks.append(_coo(bi * n * n + eq, cell, v, p))
     return LinSystem(
         system=sys.name,
         p=p,
-        matrix=_coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), p),
+        matrix=np.concatenate(blocks, axis=1),
         equations=len(sys.roots) * n * n,
         z_unknowns=n * n,
         abc_unknowns=0,

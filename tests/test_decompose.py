@@ -17,7 +17,7 @@ from chevalley.decompose import (
     gauge_normal_form,
     recover,
 )
-from chevalley.group import GroupElement, _x_mat, x_elem
+from chevalley.group import GroupElement, _x_mat, torus_diagonal, x_elem
 from chevalley.lie import ad_x, h_index, root_index, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import RingError, is_unit, make_ring
@@ -121,6 +121,13 @@ def test_position_table_records_lead_coefficients(token):
     assert set(leads) == ({-1, 1, 2} if token == "E8" else {-1, 1})
 
 
+def torus_diag(sys: RootSystem, f: FactoredElement) -> list:
+    """The diagonal of lam * t_1(s_1) ... t_l(s_l), as `decompose._torus_diag`
+    formed it before `EntryFormula.evaluate` read one character value
+    instead: lam times `group.torus_diagonal` of s."""
+    return [f.lam * d for d in torus_diagonal(sys, f.ring, f.s)]
+
+
 def reference_torus_diag(sys: RootSystem, f: FactoredElement) -> list:
     """The deleted `decompose._torus_diag`, verbatim: chi(p) by powers and
     its inverse by one `inv` per positive root."""
@@ -153,7 +160,7 @@ def random_units_factored(sys: RootSystem, ring, rng) -> FactoredElement:
 def test_torus_diag_matches_reference(token, desc, seed):
     sys, ring = system(token), make_ring(desc)
     f = random_units_factored(sys, ring, random.Random(seed))
-    diag = decompose._torus_diag(sys, f)
+    diag = torus_diag(sys, f)
     assert diag == reference_torus_diag(sys, f)
     assert compose(sys, dataclasses.replace(f, t=(ring.zero,) * sys.m, u=(ring.zero,) * sys.m)).mat \
         == Mat.diagonal(ring, diag)
@@ -183,7 +190,7 @@ def reference_compose_inverse_mat(sys: RootSystem, f: FactoredElement) -> Mat:
         t=(ring.zero,) * sys.m,
         u=(ring.zero,) * sys.m,
     )
-    return out @ Mat.diagonal(ring, decompose._torus_diag(sys, inv))
+    return out @ Mat.diagonal(ring, torus_diag(sys, inv))
 
 
 @pytest.mark.parametrize("ring_desc", ["zmod:3^3", "trunc:3:3", "gf:7"])
@@ -295,10 +302,14 @@ def test_recover_rejects_outside_normal_form():
         recover(A2, bad)
 
 
-def reference_solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, Mat]:
-    """The sweep loop that formed W = compose(f)^-1 mat in full before
-    reading it, so its first sweep multiplied out the identity, verbatim but
-    for the square inverse, now `reference_compose_inverse_mat`."""
+def reference_solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, list[Mat]]:
+    """The sweep loop run to its fixed point, with W = compose(f)^-1 mat
+    formed in full on every sweep, so its first sweep multiplies out the
+    identity.  Its first update solves the torus from the diagonal cells and
+    divides each t/u cell by that torus's value on the cell's row; it stops
+    only when a sweep finds every designated cell equal to the identity's,
+    one confirmation sweep after the parameters are exact.  Returns f and
+    every sweep's W."""
     ring = mat.ring
     if not ring.local:
         raise RecoveryError("recovery needs a local ring")
@@ -308,39 +319,33 @@ def reference_solve_cells(sys: RootSystem, mat: Mat) -> tuple[FactoredElement, M
     for cell in table.cells:
         if cell.kind == "diag" and not is_unit(mat.get(cell.row, cell.col)):
             raise RecoveryError("not in normal form: designated diagonal entry is not a unit")
-        if not ring.is_unit_vec(ring.from_int(cell.lead).vec):  # pragma: no cover - guarded by design
-            raise RecoveryError(f"leading coefficient {cell.lead} is not a unit")
 
     f = FactoredElement.trivial(sys, ring)
     dvals = [ring.one] * (l + 1)
-    for _ in range((ring.nilpotency or 1) + 2):
+    eye, Ws = Mat.identity(ring, sys.n), []
+    for sweep in range(ring.nilpotency + 2):
         W = reference_compose_inverse_mat(sys, f) @ mat
-        stable = True
-        tnew, unew = list(f.t), list(f.u)
-        for cell in table.cells:
-            w = W.get(cell.row, cell.col)
-            if cell.kind == "diag":
-                if w != ring.one:
-                    stable = False
-                    dvals[cell.index] = dvals[cell.index] * w
-            else:
-                if w != ring.zero:
-                    stable = False
-                    incr = w * ring.from_int(cell.lead).inv()
-                    if cell.kind == "t":
-                        tnew[cell.index] = tnew[cell.index] + incr
-                    else:
-                        unew[cell.index] = unew[cell.index] + incr
-        if stable:
-            return f, W
+        Ws.append(W)
+        if all(W.get(c.row, c.col) == eye.get(c.row, c.col) for c in table.cells):
+            return f, Ws
+        for cell in table.cells[: l + 1]:
+            dvals[cell.index] = dvals[cell.index] * W.get(cell.row, cell.col)
         lam_s = []
         for row in table.exponent_inverse:
             v = ring.one
             for d, e in zip(dvals, row):
-                if e:
-                    v = v * d**e
+                v = v * d**e
             lam_s.append(v)
-        f = FactoredElement(ring=ring, lam=lam_s[0], s=tuple(lam_s[1:]), t=tuple(tnew), u=tuple(unew))
+        torus = FactoredElement(ring=ring, lam=lam_s[0], s=tuple(lam_s[1:]), t=f.t, u=f.u)
+        row_value = torus_diag(sys, torus) if sweep == 0 else [ring.one] * sys.n
+        tnew, unew = list(f.t), list(f.u)
+        for cell in table.cells[l + 1:]:
+            incr = W.get(cell.row, cell.col) * row_value[cell.row].inv() * ring.from_int(cell.lead).inv()
+            if cell.kind == "t":
+                tnew[cell.index] = tnew[cell.index] + incr
+            else:
+                unew[cell.index] = unew[cell.index] + incr
+        f = dataclasses.replace(torus, t=tuple(tnew), u=tuple(unew))
     raise RecoveryError("recovery did not converge; not in normal form")
 
 
@@ -381,14 +386,16 @@ def test_sweeps_start_from_the_input(sys_name, ring_desc, monkeypatch):
     for _ in range(1 if sys_name == "E6" else 3):
         mat = compose(sy, random_factored(sy, ring, rng)).mat
         f, sweeps, W = counted_sweeps(monkeypatch, sy, decompose._solve_cells, mat)
-        (f_ref, W_ref), sweeps_ref, _ = counted_sweeps(monkeypatch, sy, reference_solve_cells, mat)
+        (f_ref, Ws), _, _ = counted_sweeps(monkeypatch, sy, reference_solve_cells, mat)
+        # the sweeps stop at the nilpotency bound with the fixed point that
+        # the reference confirms, at the latest one sweep later
         assert f == f_ref
-        assert sweeps == sweeps_ref - 1
-        assert sweeps <= k - 1
+        assert sweeps == max(k - 2, 0)
+        assert len(Ws) <= sweeps + 2
         # the last sweep's W is formed on the designated rows only, and they
-        # are those rows of the square W; with no product sweep W is the input
-        W = W if sweeps else mat
-        assert np.array_equal(W.data, W_ref.data[:, rows] if sweeps else W_ref.data)
+        # are those rows of the reference's square W from the same sweep;
+        # with no product sweep it is the input's
+        assert np.array_equal(W.data if sweeps else mat.data[:, rows], Ws[sweeps].data[:, rows])
     # designated cells that already match the identity: no product at all
     gen = np.random.default_rng(47)
     data = gen.integers(0, ring.q, (ring.depth, sy.n, sy.n))
@@ -427,6 +434,41 @@ def test_gauge_matches_designated_cells(sys_name, ring_desc):
         f = recover(sy, D_)
         assert resid_.mat == decompose._compose_inverse_mat(sy, f, range(sy.n)) @ C.mat
         assert D_.mat @ resid_.mat == C.mat
+
+
+@pytest.mark.parametrize("ring_desc", ["zmod:3^3", "zmod:3^4", "trunc:3:3", "gf:7"])
+@pytest.mark.parametrize("sys_name", ["A2", "D4", "E6"])
+def test_recover_round_trip_arbitrary_units(sys_name, ring_desc, monkeypatch):
+    # lam and s any units, not only 1 mod J: the first sweep divides the
+    # t/u cells by the torus value of their row, so the parameters are
+    # still exact after at most max(k - 2, 0) product sweeps
+    sy, ring = system(sys_name), make_ring(ring_desc)
+    rng = random.Random(52)
+    for _ in range(1 if sys_name == "E6" else 4):
+        f = FactoredElement(ring=ring, lam=ring.random_unit(rng),
+                            s=tuple(ring.random_unit(rng) for _ in range(sy.rank)),
+                            t=tuple(ring.random_radical(rng) for _ in range(sy.m)),
+                            u=tuple(ring.random_radical(rng) for _ in range(sy.m)))
+        X = compose(sy, f)
+        got, sweeps, _ = counted_sweeps(monkeypatch, sy, decompose._solve_cells, X.mat)
+        assert got == f
+        assert sweeps <= max(ring.nilpotency - 2, 0)
+        assert recover(sy, X) == f
+
+
+@pytest.mark.parametrize("ring_desc", ["zmod:3^2", "trunc:3:2", "zmod:3^3"])
+@pytest.mark.parametrize("sys_name", ["A2", "D4"])
+def test_gauge_raises_when_the_cells_cannot_be_gauged(sys_name, ring_desc):
+    # a unit t and u on one root: the cells' fixed point is out of reach of
+    # the sweeps.  With k = 2 there is no product sweep and D^-1 C's cells
+    # decide; with k = 3 the product sweep's cells already fail the rate
+    sy, ring = system(sys_name), make_ring(ring_desc)
+    C = x_elem(sy, ring, sy.simple[0], ring.one) @ x_elem(sy, ring, neg(sy.simple[0]), ring.one)
+    C = GroupElement(sy, ring, C.mat, None)
+    with pytest.raises(RecoveryError, match="cannot gauge" if ring.nilpotency == 2 else "outside J"):
+        gauge_normal_form(sy, C)
+    with pytest.raises(RecoveryError):
+        recover(sy, C)
 
 
 def test_factored_element_json_round_trip():
@@ -493,7 +535,7 @@ def termwise_evaluate(ef: EntryFormula, sys: RootSystem, f: FactoredElement):
         for kind, idx in factors:
             v = v * (f.t[idx] if kind == "t" else f.u[idx])
         total = total + v
-    return decompose._torus_diag(sys, f)[ef.row] * total
+    return torus_diag(sys, f)[ef.row] * total
 
 
 @pytest.mark.parametrize("desc", ["zmod:3^4", "gf:10007", "trunc:3:3", "ext:zmod:5^2:2:3"])

@@ -345,6 +345,48 @@ def test_graph_matrix_is_built_and_checked_once(monkeypatch):
     assert len(checks) == 4 * len(sys.roots)
 
 
+def reference_mat_from_json(ring, obj) -> Mat:
+    """`Mat.from_json` before its plain-integer rows were reduced in one
+    comprehension: every entry through `Ring.vec_from_json`, verbatim but
+    for the checks of n and the ring."""
+    n, rows = obj["n"], obj["rows"]
+    vecs = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise RingError(f"matrix row {i} is not a list of n = {n} entries")
+        vecs += [ring.vec_from_json(e) for e in row]
+    data = np.array(vecs, dtype=np.int64).reshape(n, n, ring.depth).transpose(2, 0, 1)
+    return Mat(ring, np.ascontiguousarray(data), reduce=False)
+
+
+@pytest.mark.parametrize("desc", ["zmod:3^4", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3"])
+def test_matrix_from_json_matches_entrywise_reference(desc):
+    ring = make_ring(desc)
+    rng = random.Random(53)
+    n, d, big = 6, ring.depth, 2**70 + 5
+    vec = lambda: [rng.randrange(-big, big) for _ in range(d)]
+    rows = [
+        [rng.randrange(-ring.q, 2 * ring.q) for _ in range(n)],   # plain integers, out of range
+        [big, -big, 2**63, -(2**63) - 1, 0, ring.q],              # beyond int64
+        [vec() if j % 2 else rng.randrange(99) for j in range(n)],  # integers and lists
+        [vec() for _ in range(n)],                                # lists only
+        [0] * n,
+        [rng.randrange(-ring.q, ring.q) for _ in range(n)],
+    ]
+    obj = {"n": n, "ring": desc, "rows": rows}
+    got = Mat.from_json(ring, obj)
+    assert got == reference_mat_from_json(ring, obj)
+    assert got.data.flags.c_contiguous and not got.data.flags.writeable
+    # an integer row lifts into slot 0, the other slots stay zero
+    assert got.data[0, 0].tolist() == [e % ring.q for e in rows[0]]
+    assert not got.data[1:, 0].any()
+    # a bool is no integer entry, in a row of integers or of lists
+    for bad in ([True] + rows[0][1:], [vec(), False] + [vec() for _ in range(n - 2)]):
+        for parse in (Mat.from_json, reference_mat_from_json):
+            with pytest.raises(RingError, match="bad"):
+                parse(ring, dict(obj, rows=[bad] + rows[1:]))
+
+
 def test_matrix_json_round_trip():
     g = x_elem(A2, Z81, (1, 1), Z81.from_int(5))
     obj = g.mat.to_json()

@@ -211,6 +211,30 @@ def test_commutation_control_kernel_is_scalars(p):
         assert n * n - dense_rank_mod_p(M, p) == 1
 
 
+def reference_commutation_coo(sys, p) -> np.ndarray:
+    """The control COO as `build_commutation_system` made it before it made
+    each block canonical on its own: every block's raw entries concatenated,
+    then one `_coo` over the whole concatenation."""
+    n = sys.n
+    rows, cols, vals = [], [], []
+    for bi, r in enumerate(sys.roots):
+        eq, cell, v = standardize._commutator_entries(standardize._x_unit_int(sys, r))
+        rows.append(bi * n * n + eq)
+        cols.append(cell)
+        vals.append(v)
+    return standardize._coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("token", ["A2", "D4", "D5"])
+def test_commutation_blocks_made_canonical_one_at_a_time(token, p):
+    lin = build_commutation_system(system(token), p)
+    want = reference_commutation_coo(system(token), p)
+    assert lin.matrix.dtype == want.dtype and lin.matrix.shape == want.shape
+    assert np.array_equal(lin.matrix, want)
+    assert_canonical(lin)
+
+
 def test_rank_mod_p_small_cases():
     M = np.array([[1, 2], [2, 4]])
     assert rank_mod_p(coo(M), 5) == 1
