@@ -103,19 +103,24 @@ class FactoredElement:
 
 
 def compose(sys: RootSystem, f: FactoredElement) -> GroupElement:
-    """Multiply out the normal form exactly (word recorded)."""
+    """Multiply out the normal form exactly.  The word is assembled once, as
+    data: the scalar, the l torus factors, then `_unipotent_word`; only the
+    matrices are multiplied."""
     ring = f.ring
     if (len(f.s), len(f.t), len(f.u)) != (sys.rank, sys.m, sys.m):
         raise RingError(f"{sys.name} takes {sys.rank} torus and {sys.m} + {sys.m} unipotent parameters, "
                         f"not {len(f.s)} and {len(f.t)} + {len(f.u)}")
     if not is_unit(f.lam) or not all(is_unit(x) for x in f.s):
         raise RingError("lambda and the torus parameters must be units")
-    g = scalar_elem(sys, ring, f.lam)
-    for k in range(sys.rank):
-        g = g @ t_k(sys, ring, k, f.s[k])
-    for _, r, t in _unipotent_word(sys, f):
-        g = g @ x_elem(sys, ring, r, t)
-    return g
+    scalar = scalar_elem(sys, ring, f.lam)
+    torus = [t_k(sys, ring, k, x) for k, x in enumerate(f.s)]
+    unipotent = _unipotent_word(sys, f)
+    mat = scalar.mat
+    for h in torus:
+        mat = mat @ h.mat
+    for _, r, t in unipotent:
+        mat = mat @ x_elem(sys, ring, r, t).mat
+    return GroupElement(sys, ring, mat, scalar.word + tuple(h.word[0] for h in torus) + unipotent)
 
 
 def _unipotent_word(sys: RootSystem, f: FactoredElement) -> tuple[Factor, ...]:

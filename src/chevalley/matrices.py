@@ -26,13 +26,22 @@ either side where it can:
   columns of M in the sorted union of the terms' columns are gathered once,
   each term adds T_s (M A_k) at its positions in that block, with T_s the
   depth x depth regular representation of s, and the block is reduced once
-  and written back once.  M A_k is left unreduced, so its entries are at
-  most K_k (q - 1) in absolute value, K_k being A_k's largest column sum of
+  and written back once.  At depth 1 T_s is the one slot of s, a scalar
+  multiply.  M A_k is left unreduced, so its entries are at most
+  K_k (q - 1) in absolute value, K_k being A_k's largest column sum of
   |coefficient|; T_s (M A_k) sums depth such products, so an entry of the
   block is at most sum_k K_k * depth * (q - 1)^2 + q, which must stay below
-  2^63.  `Mat.unipotent` checks that bound once, for all the terms, when it
-  builds the factor.  Its dense stack is that update applied to the
-  identity.
+  2^63.  That bound, with the block layout, is checked once per ring, size
+  and table tuple (`_checked_layout`), the first time `Mat.unipotent`
+  builds a generator of those tables, and a refusal comes before any array
+  is built.  The update works on the column-major buffer M^T, shape
+  (depth, n, r), where each gathered column is a contiguous row; the
+  result's `data` is the (depth, r, n) transposed view of a C-ordered
+  buffer.  The update copies M^T once, as its output buffer: the next
+  generator product in a chain (compose, or a sweep's inverse word) finds
+  it contiguous, and any other left operand, a dense input or the
+  identity, is transposed by that copy.  A generator's dense stack is that
+  update applied to the identity.
 
 Every other product is dense.  `Mat.inv` works on every ring kind,
 extensions included: it solves the (depth n) x (depth n) matrix of
@@ -47,39 +56,53 @@ from itertools import chain
 
 import numpy as np
 
+from .lie import frozen_index
 from .rings import Ring, RingElem, RingError, solve_mod
 
 
 def _unipotent_right(ring: Ring, M: np.ndarray, update) -> np.ndarray:
     """M (I + sum s A) = M + sum s (M A), as one block update over the
-    columns `cols` the terms touch (bound: module docstring)."""
+    columns `cols` the terms touch (layout and bound: module docstring)."""
     cols, parts = update
-    block = M[..., cols]
+    out = M.transpose(0, 2, 1).copy()
+    block = out.take(cols, axis=1)
     for A, pos, Ts in parts:
-        block[..., pos] += np.einsum("ki,inc->knc", Ts, A.right_mul(M))
-    out = M.copy()
-    out[..., cols] = ring.mat_mod(block)
-    return out
+        MA = A.right_mul_t(out)
+        if ring.depth == 1:
+            MA *= Ts
+        else:
+            MA = np.einsum("ki,inc->knc", Ts, MA)
+        block[:, pos] += MA
+    out[:, cols] = ring.mat_mod(block)
+    return out.transpose(0, 2, 1)
+
+
+@lru_cache(maxsize=None)
+def _checked_layout(ring: Ring, n: int, tables) -> tuple[np.ndarray, tuple]:
+    """`_block_layout` of the tables, once per ring, size and table tuple,
+    after the checks every generator of them needs: each table is n x n,
+    and the block update stays below 2^63 over `ring`.  A refusal is not
+    cached, so it is raised again, before any array is built, each time."""
+    for A in tables:
+        if A.n != n:
+            raise RingError(f"sparse {A.n} x {A.n} term in a {n} x {n} matrix")
+    ring.check_int64(sum(A.col_bound for A in tables) * ring.depth, "a generator column update", ring.q)
+    return _block_layout(tables)
 
 
 @lru_cache(maxsize=None)
 def _block_layout(tables) -> tuple[np.ndarray, tuple]:
     """The sorted union of the columns the `SparseColumns` tables touch, and
     each table's column positions in it, once per table tuple.  A table
-    that touches every column of the block, as ad x_a does beside its
-    square, gets the positions as a slice: its update is in place.  Built
-    in Python: `np.unique` would import `numpy.ma`, 1.6 MB of resident
-    memory, for a few dozen integers."""
+    whose columns are one run of the block, as all of it for ad x_a and
+    the one column of its square, gets the positions as a slice: its
+    update is in place.  Built in Python: `np.unique` would import
+    `numpy.ma`, 1.6 MB of resident memory, for a few dozen integers."""
     union = sorted(set().union(*(A.cols.tolist() for A in tables)))
     at = {c: i for i, c in enumerate(union)}
     cols = np.array(union, dtype=np.int64)
     cols.setflags(write=False)
-    positions = []
-    for A in tables:
-        pos = np.array([at[c] for c in A.cols.tolist()], dtype=np.int64)
-        pos.setflags(write=False)
-        positions.append(slice(None) if len(pos) == len(cols) else pos)
-    return cols, tuple(positions)
+    return cols, tuple(frozen_index([at[c] for c in A.cols.tolist()]) for A in tables)
 
 
 class Mat:
@@ -99,8 +122,9 @@ class Mat:
         self._data = data
         # ("diag", read-only (depth, 1, n) stack) | ("unipotent", (cols, ((A, pos, T_s), ...)))
         # with A a SparseColumns table, pos its columns' positions in the sorted
-        # union cols of every term's columns, and T_s the (depth, depth)
-        # regular representation of the scalar s
+        # union cols of every term's columns, and T_s the read-only (depth, depth)
+        # regular representation of the scalar s, or at depth 1 its one slot
+        # as an int
         self.factor = factor
 
     @property
@@ -150,17 +174,16 @@ class Mat:
         """I + sum of s * A over the (A, s) in `terms`: A an integer matrix given
         by its `SparseColumns`, s a ring element.  Only the factor is built."""
         terms = tuple(terms)
-        for A, _ in terms:
-            if A.n != n:
-                raise RingError(f"sparse {A.n} x {A.n} term in a {n} x {n} matrix")
-        ring.check_int64(sum(A.col_bound for A, _ in terms) * ring.depth, "a generator column update", ring.q)
-        cols, positions = _block_layout(tuple(A for A, _ in terms))
-        parts = []
-        for (A, s), pos in zip(terms, positions):
-            Ts = np.array(ring.regular_rows(s.vec), dtype=np.int64)
-            Ts.setflags(write=False)
-            parts.append((A, pos, Ts))
-        return cls(ring, None, n=n, factor=("unipotent", (cols, tuple(parts))))
+        cols, positions = _checked_layout(ring, n, tuple(A for A, _ in terms))
+        if ring.depth == 1:
+            scalars = [s.vec[0] for _, s in terms]
+        else:
+            # every term's T_s from one `regular` of the scalars side by side
+            R = ring.regular(np.array([s.vec for _, s in terms], dtype=np.int64).T)
+            R.setflags(write=False)
+            scalars = [R[..., k] for k in range(len(terms))]
+        parts = tuple(zip((A for A, _ in terms), positions, scalars))
+        return cls(ring, None, n=n, factor=("unipotent", (cols, parts)))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -181,9 +204,6 @@ class Mat:
                 return Mat._diagonal(ring, ring.mat_elemmul(left, parts))
             return Mat(ring, ring.mat_elemmul(self.data, parts), reduce=False)
         return Mat(ring, _unipotent_right(ring, self.data, parts), reduce=False)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        return Mat(self.ring, self.data + other.data)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return Mat(self.ring, self.data - other.data)
@@ -208,9 +228,6 @@ class Mat:
         data[:, i, j] = value.vec
         return Mat(self.ring, data)
 
-    def diagonal_elems(self) -> list[RingElem]:
-        return [self.get(i, i) for i in range(self.n)]
-
     def diagonal_stack(self) -> np.ndarray:
         """The (depth, n) entries of a matrix built as a diagonal, read from
         its factor."""
@@ -220,12 +237,6 @@ class Mat:
 
     def is_identity(self) -> bool:
         return self == Mat.identity(self.ring, self.n)
-
-    def is_diagonal(self) -> bool:
-        off = self.data.copy()
-        for d in range(off.shape[0]):
-            np.fill_diagonal(off[d], 0)
-        return not off.any()
 
     # -- inverses ------------------------------------------------------------------
 
@@ -253,8 +264,10 @@ class Mat:
     def from_json(cls, ring: Ring, obj) -> "Mat":
         """Parse {"n", "ring", "rows"}: exactly n rows of n entries, each an
         integer or a list of ring.depth integers.  A row of plain integers
-        is reduced into slot 0 in one comprehension; any other row goes
-        entry by entry through `Ring.vec_from_json`, which refuses bools."""
+        is reduced into slot 0 in one comprehension, and a row of lists of
+        ring.depth plain integers in one pass over its flattened slots; any
+        other row goes entry by entry through `Ring.vec_from_json`, which
+        refuses bools and lists of the wrong length."""
         if not isinstance(obj, dict):
             raise RingError("matrix JSON must be an object with n, ring and rows")
         n, rows = obj.get("n"), obj.get("rows")
@@ -265,18 +278,25 @@ class Mat:
         if not isinstance(rows, list) or len(rows) != n:
             got = f"{len(rows)} rows" if isinstance(rows, list) else type(rows).__name__
             raise RingError(f"matrix rows must be a list of n = {n} rows, not {got}")
-        q = ring.q
-        data = np.zeros((ring.depth, n, n), dtype=np.int64)
-        other = {}
+        q, d = ring.q, ring.depth
+        data = np.zeros((d, n, n), dtype=np.int64)
+        # the flattened slots, entry after entry, of each row not of plain integers
+        slots = {}
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != n:
                 raise RingError(f"matrix row {i} is not a list of n = {n} entries")
             if all(type(e) is int for e in row):
                 data[0, i] = [e % q for e in row]
-            else:
-                other[i] = [ring.vec_from_json(e) for e in row]
-        if other:
-            data[:, list(other)] = np.array(list(other.values()), dtype=np.int64).transpose(2, 0, 1)
+                continue
+            if set(map(type, row)) == {list} and set(map(len, row)) == {d}:
+                flat = list(chain.from_iterable(row))
+                if set(map(type, flat)) == {int}:
+                    slots[i] = [c % q for c in flat]
+                    continue
+            slots[i] = list(chain.from_iterable(ring.vec_from_json(e) for e in row))
+        if slots:
+            stack = np.array(list(slots.values()), dtype=np.int64).reshape(-1, n, d)
+            data[:, list(slots)] = stack.transpose(2, 0, 1)
         return cls(ring, data, reduce=False)
 
     def __repr__(self) -> str:

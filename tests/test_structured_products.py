@@ -6,7 +6,9 @@ left scales the rows, and two diagonals multiply entrywise.  Here each is
 compared with `Ring.mat_mul` on the same data, for every ring kind, including
 a prime modulus at the top of the int64-exact range.  A generator or a
 diagonal forms its dense matrix only when it is read; that matrix is checked
-against the dense scatter its constructor used to build.
+against the dense scatter its constructor used to build.  The generator
+update, which works on the column-major buffer M^T, is checked against the
+row-major update it replaced, kept here verbatim.
 """
 
 import random
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevalley import rings
 from chevalley.decompose import compose, recover
 from chevalley.group import x_elem
 from chevalley.lie import SparseColumns, ad_x, ad_x_squared, ad_x_tables, structure_constants
@@ -36,6 +39,12 @@ def random_mat(ring, n, seed) -> Mat:
     gen = np.random.default_rng(seed)
     data = np.stack([gen.integers(0, ring.q, (n, n)) for _ in range(ring.depth)])
     return Mat(ring, data, reduce=False)
+
+
+def random_diagonal_elems(ring, n, seed):
+    """The diagonal entries of a random matrix, as ring elements."""
+    M = random_mat(ring, n, seed)
+    return [M.get(i, i) for i in range(n)]
 
 
 def dense(M: Mat, X: Mat) -> Mat:
@@ -66,7 +75,7 @@ def test_generator_product_equals_dense(args):
 def test_diagonal_product_equals_dense(args):
     token, desc, seed, _ = args
     sys, ring = system(token), make_ring(desc)
-    D = Mat.diagonal(ring, random_mat(ring, sys.n, seed + 1).diagonal_elems())
+    D = Mat.diagonal(ring, random_diagonal_elems(ring, sys.n, seed + 1))
     M = random_mat(ring, sys.n, seed)
     assert D.factor is not None
     assert M @ D == dense(M, D)
@@ -80,7 +89,7 @@ def test_row_stack_products_are_rows_of_square_products(token, desc):
     sys, ring = system(token), make_ring(desc)
     M, B = random_mat(ring, sys.n, 61), random_mat(ring, sys.n, 62)
     t = random_mat(ring, 1, 63).get(0, 0)
-    D = Mat.diagonal(ring, random_mat(ring, sys.n, 64).diagonal_elems())
+    D = Mat.diagonal(ring, random_diagonal_elems(ring, sys.n, 64))
     for rows in ([0, 2, sys.n - 1], [sys.n - 1, 1, 1]):
         R = Mat(ring, M.data[:, rows], reduce=False)
         assert R.n == sys.n
@@ -147,7 +156,7 @@ def test_only_generator_and_diagonal_constructors_carry_a_factor():
     sys, ring = system("A2"), make_ring("trunc:3:3")
     X = x_elem(sys, ring, sys.maximal, ring.one).mat
     D = Mat.diagonal(ring, [ring.one] * sys.n)
-    for M in (X @ X, X + D, X.with_entry(0, 0, ring.one), Mat.from_json(ring, X.to_json()),
+    for M in (X @ X, Mat(ring, X.data + D.data), X.with_entry(0, 0, ring.one), Mat.from_json(ring, X.to_json()),
               Mat.identity(ring, sys.n)):
         assert M.factor is None
 
@@ -223,6 +232,83 @@ def test_generators_used_as_right_factors_are_never_made_dense(monkeypatch):
     assert all(M._data is None for M in built)
 
 
+def reference_unipotent_right(ring, M, update):
+    """`matrices._unipotent_right` before it worked on the column-major
+    buffer M^T, verbatim: the row-major block update of M (I + sum s A)."""
+    cols, parts = update
+    block = M[..., cols]
+    for A, pos, Ts in parts:
+        block[..., pos] += np.einsum("ki,inc->knc", Ts, A.right_mul(M))
+    out = M.copy()
+    out[..., cols] = ring.mat_mod(block)
+    return out
+
+
+def reference_update(ring, sys, root, t):
+    """The update the reference reads for x_root(t): the sorted union of the
+    columns of ad x_root and of its half square, each table's positions in
+    it, and the (depth, depth) regular representations T_s of t and t^2."""
+    terms = tuple(zip(ad_x_tables(sys, structure_constants(sys), root), (t, t * t)))
+    cols = sorted(set().union(*(A.cols.tolist() for A, _ in terms)))
+    at = {c: i for i, c in enumerate(cols)}
+    parts = tuple((A, np.array([at[c] for c in A.cols.tolist()]), np.array(ring.regular_rows(s.vec)))
+                  for A, s in terms)
+    return np.array(cols), parts
+
+
+def column_major(data):
+    """The same stack with each matrix stored column by column."""
+    return np.ascontiguousarray(data.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("desc", GENERATOR_RINGS)
+@pytest.mark.parametrize("token", SYSTEMS)
+def test_column_major_kernel_equals_row_major_reference(token, desc):
+    # square matrices and row stacks, stored by rows or by columns, times one
+    # generator and times a chain of compose's 2m generators; every result is
+    # read-only, and feeds the next product as it is
+    sys, ring = system(token), make_ring(desc)
+    rng = random.Random(73)
+    M = random_mat(ring, sys.n, 71).data
+    lefts = [M, column_major(M)]
+    for rows in ([0, 2, sys.n - 1], [sys.n - 1, 1, 1]):
+        lefts += [np.ascontiguousarray(M[:, rows]), column_major(M[:, rows])]
+    assert lefts[1].transpose(0, 2, 1).flags.c_contiguous and not lefts[1].flags.c_contiguous
+    for root in (sys.roots[0], sys.maximal, neg(sys.maximal), rng.choice(sys.roots)):
+        t = ring.random_element(rng)
+        X = x_elem(sys, ring, root, t).mat
+        for left in lefts:
+            got = (Mat(ring, left, reduce=False) @ X).data
+            assert np.array_equal(got, reference_unipotent_right(ring, left, reference_update(ring, sys, root, t)))
+            assert not got.flags.writeable
+        for A in ad_x_tables(sys, structure_constants(sys), root):
+            assert np.array_equal(A.right_mul_t(M.transpose(0, 2, 1)), A.right_mul(M).transpose(0, 2, 1))
+    word = [(r, ring.random_element(rng)) for r in sys.positive + tuple(neg(p) for p in sys.positive)]
+    assert len(word) == 2 * sys.m
+    for left in (M, lefts[2], Mat.identity(ring, sys.n).data, Mat.identity(ring, sys.n, [1, 0]).data):
+        got, want = Mat(ring, left, reduce=False), left
+        for root, t in word:
+            got = got @ x_elem(sys, ring, root, t).mat
+            want = reference_unipotent_right(ring, want, reference_update(ring, sys, root, t))
+            assert not got.data.flags.writeable
+        assert np.array_equal(got.data, want)
+    # a row stack is still a left operand only, whatever is on its left
+    R = Mat(ring, lefts[3], reduce=False)
+    with pytest.raises(RingError):
+        x_elem(sys, ring, sys.maximal, ring.one).mat @ R
+
+
+def test_oversized_ring_is_refused_before_any_array(monkeypatch):
+    # a ring too deep for its multiplication tensor never reaches numpy
+    class NoArrays:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} reached")
+
+    monkeypatch.setattr(rings, "np", NoArrays())
+    with pytest.raises(RingError, match="at most"):
+        make_ring("trunc:3:100000")
+
+
 def reference_diagonal_data(ring, elems):
     """The deleted eager scatter of `Mat.diagonal`, verbatim."""
     dvec = np.array([e.vec for e in elems], dtype=np.int64).T
@@ -230,10 +316,6 @@ def reference_diagonal_data(ring, elems):
     data = np.zeros((ring.depth, n, n), dtype=np.int64)
     data[:, np.arange(n), np.arange(n)] = dvec
     return data
-
-
-def random_diagonal_elems(ring, n, seed):
-    return random_mat(ring, n, seed).diagonal_elems()
 
 
 @settings(max_examples=60, deadline=None)
