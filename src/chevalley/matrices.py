@@ -79,25 +79,22 @@ def _unipotent_right(ring: Ring, M: np.ndarray, update) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _checked_layout(ring: Ring, n: int, tables) -> tuple[np.ndarray, tuple]:
-    """`_block_layout` of the tables, once per ring, size and table tuple,
-    after the checks every generator of them needs: each table is n x n,
-    and the block update stays below 2^63 over `ring`.  A refusal is not
-    cached, so it is raised again, before any array is built, each time."""
+    """The block layout of the `SparseColumns` tables, once per ring, size
+    and table tuple, after the checks every generator of them needs: each
+    table is n x n, and the block update stays below 2^63 over `ring`.  A
+    refusal is not cached, so it is raised again, before any array is
+    built, each time.
+
+    The layout is the sorted union of the columns the tables touch, and
+    each table's column positions in it.  A table whose columns are one
+    run of the block, as all of it for ad x_a and the one column of its
+    square, gets the positions as a slice: its update is in place.  Built
+    in Python: `np.unique` would import `numpy.ma`, 1.6 MB of resident
+    memory, for a few dozen integers."""
     for A in tables:
         if A.n != n:
             raise RingError(f"sparse {A.n} x {A.n} term in a {n} x {n} matrix")
     ring.check_int64(sum(A.col_bound for A in tables) * ring.depth, "a generator column update", ring.q)
-    return _block_layout(tables)
-
-
-@lru_cache(maxsize=None)
-def _block_layout(tables) -> tuple[np.ndarray, tuple]:
-    """The sorted union of the columns the `SparseColumns` tables touch, and
-    each table's column positions in it, once per table tuple.  A table
-    whose columns are one run of the block, as all of it for ad x_a and
-    the one column of its square, gets the positions as a slice: its
-    update is in place.  Built in Python: `np.unique` would import
-    `numpy.ma`, 1.6 MB of resident memory, for a few dozen integers."""
     union = sorted(set().union(*(A.cols.tolist() for A in tables)))
     at = {c: i for i, c in enumerate(union)}
     cols = np.array(union, dtype=np.int64)
