@@ -6,7 +6,6 @@ from .decompose import (
     compose,
     designated_positions,
     entry_formula,
-    gauge_normal_form,
     recover,
 )
 from .group import (
@@ -76,7 +75,6 @@ __all__ = [
     "designated_positions",
     "diagram_automorphisms",
     "entry_formula",
-    "gauge_normal_form",
     "graph_matrix",
     "h_alpha",
     "h_elem",

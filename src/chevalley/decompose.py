@@ -388,20 +388,6 @@ def recover(sys: RootSystem, X: GroupElement | Mat) -> FactoredElement:
     return f
 
 
-def gauge_normal_form(sys: RootSystem, C: GroupElement) -> tuple[GroupElement, GroupElement]:
-    """Return (D, C') with D in normal form, C' = D^{-1} C and C' matching the
-    identity at every designated cell.  The cells are solved as in `recover`,
-    without its check that D = C; C' is formed in full once, as the matrix
-    of D's inverse word times C, and RecoveryError is raised when its
-    designated cells do not match the identity."""
-    D = compose(sys, _solve_cells(sys, C.mat))
-    resid = D.inverse().mat @ C.mat
-    for c in designated_positions(sys).cells:
-        if resid.get(c.row, c.col) != (1 if c.kind == "diag" else 0):
-            raise RecoveryError("cannot gauge: a designated cell of D^-1 C is not the identity's")
-    return D, GroupElement(sys, C.ring, resid, None)
-
-
 # ---------------------------------------------------------------------------
 # symbolic entry formula
 # ---------------------------------------------------------------------------

@@ -51,12 +51,12 @@ class GroupElement:
         return self.mat.is_identity()
 
     def inverse(self) -> "GroupElement":
-        """The matrix of `inverse_word` of the word, when there is one;
-        otherwise by `Mat.inv`."""
-        if self.word is not None:
-            word = inverse_word(self.word)
-            return GroupElement(self.sys, self.ring, word_to_matrix(self.sys, self.ring, word), word)
-        return GroupElement(self.sys, self.ring, self.mat.inv(), None)
+        """The element of `inverse_word` of the word; RingError when there is
+        no word."""
+        if self.word is None:
+            raise RingError("element has no generator word")
+        word = inverse_word(self.word)
+        return GroupElement(self.sys, self.ring, word_to_matrix(self.sys, self.ring, word), word)
 
     def word_to_json(self) -> list:
         if self.word is None:
@@ -107,8 +107,12 @@ def inverse_word(word) -> tuple[Factor, ...]:
 
 def word_to_matrix(sys: RootSystem, ring: Ring, word, rows=None) -> Mat:
     """The matrix of `word`, or only its rows `rows` as a row stack: those
-    rows of the identity times each factor in turn."""
-    out = Mat.identity(ring, sys.n, rows)
+    rows of the identity times each factor in turn.  The whole matrix starts
+    from the first factor's, so a one-factor word keeps its factor."""
+    if rows is None and word:
+        out, word = _factor_matrix(sys, ring, word[0]), word[1:]
+    else:
+        out = Mat.identity(ring, sys.n, rows)
     for f in word:
         out = out @ _factor_matrix(sys, ring, f)
     return out

@@ -237,11 +237,9 @@ def ad_x_tables(sys: RootSystem, N: StructureConstants, r: Root) -> tuple[Sparse
 
 
 def ad_x(sys: RootSystem, N: StructureConstants, r: Root) -> np.ndarray:
-    """Matrix of ad x_r on the Chevalley basis; columns index the source vector."""
-    key = ("ad", tuple(r))
-    if key not in sys._ad_cache:
-        sys._ad_cache[key] = ad_x_tables(sys, N, r)[0].dense()
-    return sys._ad_cache[key]
+    """Matrix of ad x_r on the Chevalley basis; columns index the source
+    vector.  Formed from the sparse table on each call, not cached dense."""
+    return ad_x_tables(sys, N, r)[0].dense()
 
 
 def ad_x_squared(sys: RootSystem, N: StructureConstants, r: Root) -> np.ndarray:

