@@ -14,12 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lie import ad_x, ad_x_tables, h_index, root_index, structure_constants
+from .lie import ad_x_tables, h_index, root_index, structure_constants
 from .matrices import Mat
 from .rings import Ring, RingElem, RingError
 from .roots import Root, RootSystem, add, build_root_system, height, neg, sub
 
-Factor = tuple  # ("x", root, t) | ("h", values) | ("scalar", lam) | ("perm", name, data)
+Factor = tuple  # ("x", root, t) | ("h", values) | ("scalar", lam) | ("perm", name, {"pi", "sigma", "inv"})
 
 
 class GroupElement:
@@ -85,8 +85,11 @@ def _factor_matrix(sys: RootSystem, ring: Ring, f: Factor) -> Mat:
         return _char_mat(sys, ring, f[1])
     if f[0] == "scalar":
         return Mat.diagonal(ring, [f[1]] * sys.n)
-    data = f[2]["matrix"]
-    return Mat.from_int_matrix(ring, data.T if f[2].get("inv") else data)
+    # sigma[j] at (pi[j], j), or at (j, pi[j]) for the transpose
+    at = (f[2]["pi"], np.arange(sys.n))
+    data = np.zeros((ring.depth, sys.n, sys.n), dtype=np.int64)
+    data[(0,) + (at[::-1] if f[2]["inv"] else at)] = f[2]["sigma"]
+    return Mat(ring, data)
 
 
 def _factor_inverse(f: Factor) -> Factor:
@@ -132,8 +135,6 @@ def x_elem(sys: RootSystem, ring: Ring, r: Root, t: RingElem) -> GroupElement:
     """Exponential of t x_r: the series I + t X + t^2 H of `ad_x_tables`
     stops at degree two on the adjoint module."""
     r = tuple(r)
-    if not sys.is_root(r):
-        raise ValueError(f"{r} is not a root of {sys.name}")
     return GroupElement(sys, ring, _x_mat(sys, ring, r, t), (("x", r, t),))
 
 
@@ -247,13 +248,55 @@ def scalar_elem(sys: RootSystem, ring: Ring, lam: RingElem) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 
+def _off_identity(sys: RootSystem, ring: Ring, roots, ts):
+    """(ids, rows, cols, values): the nonzero entries of x_r(t) - I = t X +
+    t^2 H, read from the tables X and H of `ad_x_tables` (never on the same
+    cell), for each root of `roots` and its t of `ts` side by side, ids[e]
+    the index of entry e's root.  A table coefficient can vanish in the ring."""
+    N = structure_constants(sys)
+    tables = [A for r in roots for A in ad_x_tables(sys, N, r)]
+    counts = [len(A.coeff) for A in tables]
+    scalars = np.array([v for t in ts for v in (t.vec, (t * t).vec)], dtype=np.int64)
+    values = ring.mat_mod(np.repeat(scalars.T, counts, axis=1) * np.concatenate([A.coeff for A in tables]))
+    keep = values.any(axis=0)
+    return (np.repeat(np.arange(len(tables)) // 2, counts)[keep], np.concatenate([A.dst for A in tables])[keep],
+            np.concatenate([A.src for A in tables])[keep], values[:, keep])
+
+
+def conjugation_holds(sys: RootSystem, A: Mat, B: Mat, roots, ts, images, image_ts) -> list[bool]:
+    """For each k, whether A x_{roots[k]}(ts[k]) B = x_{images[k]}(image_ts[k])
+    for monomial A and B (`Mat.monomial`), with no n x n product.
+
+    If A B != I (checked in O(n)) every verdict is False.  Otherwise B's
+    permutation is pi^-1, A x B = I + A (x - I) B, and A (x - I) B moves the
+    entry of x - I at (i, j) to (pi i, pi j), scaled by the units a_i b_{pi j}.
+    Both sides minus I are compared as lists of their nonzero entries keyed
+    by root and position: a root holds iff each of its entries has its equal
+    on the other side, next to it once all keys are sorted."""
+    ring, n = A.ring, sys.n
+    (pi, a), (rho, b) = A.monomial(), B.monomial()
+    if not (np.array_equal(pi[rho], np.arange(n))
+            and (ring.mat_elemmul(a[:, rho], b) == np.array(ring.one.vec)[:, None]).all()):
+        return [False] * len(roots)
+    ids, rows, cols, values = _off_identity(sys, ring, roots, ts)
+    lhs = ring.mat_elemmul(values, ring.mat_elemmul(a[:, rows], b[:, pi[cols]]))
+    keys = (ids * n + pi[rows]) * n + pi[cols]
+    ids, rows, cols, rhs = _off_identity(sys, ring, images, image_ts)
+    keys = np.append(keys, (ids * n + rows) * n + cols)
+    order = np.argsort(keys)
+    keys, values = keys[order], np.append(lhs, rhs, axis=1)[:, order]
+    pair = (keys[1:] == keys[:-1]) & (values[:, 1:] == values[:, :-1]).all(axis=0)
+    matched = np.zeros(len(keys), dtype=bool)
+    matched[1:] |= pair
+    matched[:-1] |= pair
+    return (np.bincount(keys[~matched] // (n * n), minlength=len(roots)) == 0).tolist()
+
+
 def check_torus_conjugation(sys: RootSystem, chi: Character, beta: Root, xi: RingElem) -> bool:
     """Exact check of h(chi) x_beta(xi) h(chi)^{-1} = x_beta(chi(beta) xi)."""
-    ring = chi.ring
     h = h_elem(sys, chi)
-    lhs = h @ x_elem(sys, ring, beta, xi) @ h.inverse()
-    rhs = x_elem(sys, ring, beta, chi.value(tuple(beta)) * xi)
-    return lhs == rhs
+    return conjugation_holds(sys, h.mat, h.inverse().mat, [beta], [xi], [beta],
+                             [chi.value(tuple(beta)) * xi])[0]
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -345,26 +388,28 @@ def _graph_signs(sys: RootSystem, perm: tuple[int, ...]) -> dict[Root, int]:
 
 
 @lru_cache(maxsize=None)
-def _graph_int_matrix(kind: str, rank: int, perm: tuple[int, ...]) -> np.ndarray:
-    """The read-only integer signed permutation of the diagram symmetry
-    `perm`, built and checked once per system and symmetry."""
+def _graph_signed_perm(kind: str, rank: int, perm: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The signed permutation A of the diagram symmetry `perm` as read-only
+    (pi, sigma), sigma[j] at (pi[j], j), built and checked once per system
+    and symmetry."""
     sys = build_root_system(kind, rank)
     _check_diagram_symmetry(sys, perm)
     eps = _graph_signs(sys, perm)
-    n = sys.n
-    A = np.zeros((n, n), dtype=np.int64)
+    pi, sigma = np.arange(sys.n), np.ones(sys.n, dtype=np.int64)
     for r in sys.roots:
-        A[root_index(sys, apply_diagram(perm, r)), root_index(sys, r)] = eps[r]
-    for i in range(sys.rank):
-        A[h_index(sys, perm[i]), h_index(sys, i)] = 1
-    # conjugation must permute the generator set: A X_r A^T = eps(r) X_{delta r}
+        pi[root_index(sys, r)], sigma[root_index(sys, r)] = root_index(sys, apply_diagram(perm, r)), eps[r]
+    pi[h_index(sys, 0):] = np.add(perm, h_index(sys, 0))  # h_i -> h_perm[i]
+    # conjugation must permute the generator set: A X_r A^T = eps(r) X_{delta r},
+    # and A X_r A^T holds sigma_d sigma_s X_r[d, s] at (pi d, pi s)
     N = structure_constants(sys)
     for r in sys.roots:
-        lhs = A @ ad_x(sys, N, r) @ A.T
-        if not np.array_equal(lhs, eps[r] * ad_x(sys, N, apply_diagram(perm, r))):
+        X, Y = ad_x_tables(sys, N, r)[0], ad_x_tables(sys, N, apply_diagram(perm, r))[0]
+        lhs = zip(pi[X.dst].tolist(), pi[X.src].tolist(), (sigma[X.dst] * sigma[X.src] * X.coeff).tolist())
+        if sorted(lhs) != sorted(zip(Y.dst.tolist(), Y.src.tolist(), (eps[r] * Y.coeff).tolist())):
             raise RuntimeError(f"diagram matrix fails on {r}")  # pragma: no cover
-    A.setflags(write=False)
-    return A
+    for a in (pi, sigma):
+        a.setflags(write=False)
+    return pi, sigma
 
 
 def graph_matrix(sys: RootSystem, ring: Ring, delta: str | tuple[int, ...]) -> GroupElement:
@@ -376,6 +421,6 @@ def graph_matrix(sys: RootSystem, ring: Ring, delta: str | tuple[int, ...]) -> G
         name, perm = delta, autos[delta]
     else:
         name, perm = "custom", tuple(delta)
-    A = _graph_int_matrix(sys.kind, sys.rank, perm)
-    word = (("perm", name, {"matrix": A, "inv": False}),)
-    return GroupElement(sys, ring, Mat.from_int_matrix(ring, A), word)
+    pi, sigma = _graph_signed_perm(sys.kind, sys.rank, perm)
+    word = (("perm", name, {"pi": pi, "sigma": sigma, "inv": False}),)
+    return GroupElement(sys, ring, _factor_matrix(sys, ring, word[0]), word)

@@ -213,11 +213,13 @@ def ad_x_tables(sys: RootSystem, N: StructureConstants, r: Root) -> tuple[Sparse
     The square is the sparse product of ad x_r with itself, so no dense
     n x n x n product is ever formed.  Its entries arise only through the
     Cartan subspace and are even, so H is integral; an odd entry raises
-    ArithmeticError here, once, for every user of the tables.
+    ArithmeticError, and a non-root ValueError, here for every user.
     """
     r = tuple(r)
     key = ("ad_tables", r)
     if key not in sys._ad_cache:
+        if not sys.is_root(r):
+            raise ValueError(f"{r} is not a root of {sys.name}")
         columns: dict[int, list[tuple[int, int]]] = {}
         for col, u in enumerate(basis_elements(sys)):
             for t, c in N.bracket(("x", r), u).items():

@@ -44,7 +44,10 @@ either side where it can:
   update applied to the identity.
 
 Every other product is dense.  There is no matrix inverse: a group element
-is inverted as its word of factors (`group.inverse_word`).
+is inverted as its word of factors (`group.inverse_word`).  A matrix with
+one nonzero entry per column is read as its permutation and entries by
+`Mat.monomial`, and conjugation by it is checked with no product
+(`group.conjugation_holds`).
 """
 
 from __future__ import annotations
@@ -148,10 +151,6 @@ class Mat:
         return cls(ring, data, reduce=False)
 
     @classmethod
-    def from_int_matrix(cls, ring: Ring, intmat: np.ndarray) -> "Mat":
-        return cls(ring, ring.lift_int_matrix(np.asarray(intmat, dtype=np.int64)), reduce=False)
-
-    @classmethod
     def diagonal(cls, ring: Ring, elems) -> "Mat":
         """The diagonal matrix of the ring elements `elems`; only the factor
         is built."""
@@ -223,12 +222,17 @@ class Mat:
         data[:, i, j] = value.vec
         return Mat(self.ring, data)
 
-    def diagonal_stack(self) -> np.ndarray:
-        """The (depth, n) entries of a matrix built as a diagonal, read from
-        its factor."""
-        if self.factor is None or self.factor[0] != "diag":
-            raise RingError(f"{self!r} was not built as a diagonal")
-        return self.factor[1][:, 0]
+    def monomial(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pi, m): column j's one nonzero entry m[:, j] is at row pi[j].  A
+        diagonal reads its factor, forming no dense stack; a column of other
+        than one nonzero entry raises RingError."""
+        if self.factor is not None and self.factor[0] == "diag":
+            return np.arange(self.n), self.factor[1][:, 0]
+        nonzero = self.data.any(axis=0)
+        if (nonzero.sum(axis=0) != 1).any():
+            raise RingError(f"{self!r} is not monomial")
+        pi = nonzero.argmax(axis=0)
+        return pi, self.data[:, pi, np.arange(self.n)]
 
     def is_identity(self) -> bool:
         return self == Mat.identity(self.ring, self.n)

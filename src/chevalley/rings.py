@@ -322,11 +322,6 @@ class Ring:
                 out[k] += op(a[i], R[k, i], out=term)
         return self.mat_mod(out)
 
-    def lift_int_matrix(self, intmat: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.depth,) + intmat.shape, dtype=np.int64)
-        out[0] = intmat
-        return self.mat_mod(out)
-
     # -- locality -------------------------------------------------------------
 
     def radical_vec(self, a: Vec) -> bool:

@@ -15,11 +15,12 @@ from .group import (
     Character,
     GroupElement,
     apply_diagram,
-    check_torus_conjugation,
     commutator_check,
+    conjugation_holds,
     diagram_automorphisms,
     graph_matrix,
-    x_elem,
+    h_elem,
+    word_to_matrix,
 )
 from .lie import jacobi_defect, structure_constants
 from .matrices import Mat
@@ -65,10 +66,11 @@ def suite_eq1(system_token: str, ring_desc: str, count: int = 50, seed: int = 0)
     for _ in range(count):
         chi = Character(ring, tuple(ring.random_unit(rng) for _ in range(sys.rank)))
         xi = ring.random_element(rng)
-        for beta in sys.roots:
-            total += 1
-            if not check_torus_conjugation(sys, chi, beta, xi):
-                failures.append({"beta": list(beta)})
+        h = h_elem(sys, chi)
+        oks = conjugation_holds(sys, h.mat, h.inverse().mat, sys.roots, [xi] * len(sys.roots), sys.roots,
+                                [chi.value(beta) * xi for beta in sys.roots])
+        total += len(oks)
+        failures += [{"beta": list(beta)} for beta, ok in zip(sys.roots, oks) if not ok]
     rep = _report("eq1", sys.name, ring.descriptor, seed, characters=count)
     return _finish(rep, failures, total)
 
@@ -212,40 +214,32 @@ def suite_graph(system_token: str, ring_desc: str) -> dict:
     ring = make_ring(ring_desc)
     failures, total = [], 0
     autos = diagram_automorphisms(sys)
+    roots, ones = sys.roots, [ring.one] * len(sys.roots)
     for name, perm in autos.items():
         A = graph_matrix(sys, ring, name)
         Ainv = A.inverse()
-        for r in sys.roots:
+        images = [apply_diagram(perm, r) for r in roots]
+        plus = conjugation_holds(sys, A.mat, Ainv.mat, roots, ones, images, ones)
+        minus = conjugation_holds(sys, A.mat, Ainv.mat, roots, ones, images, [-ring.one] * len(roots))
+        for r, is_plus, is_minus in zip(roots, plus, minus):
             total += 1
-            conj = A @ x_elem(sys, ring, r, ring.one) @ Ainv
-            img = apply_diagram(perm, r)
-            plus = x_elem(sys, ring, img, ring.one)
-            minus = x_elem(sys, ring, img, -ring.one)
-            if conj == plus:
-                sign = 1
-            elif conj == minus:
-                sign = -1
-            else:
+            if not (is_plus or is_minus):
                 failures.append({"delta": name, "root": list(r), "error": "not a generator"})
-                continue
-            if r in sys.simple and sign != 1:
+            elif r in sys.simple and not is_plus:
                 failures.append({"delta": name, "root": list(r), "error": "sign on simple root"})
-        # the automorphism's order is respected on generators
-        order = 1
-        q = perm
-        ident = tuple(range(sys.rank))
-        while q != ident:
-            q = tuple(perm[i] for i in q)
+        # the automorphism's order is respected on generators: A^order is the
+        # signed permutation (pi, sigma) of A P e_j = sigma[p_j] s_j e_{pi[p_j]}
+        f = A.word[0][2]
+        order, q, pi, sigma = 1, perm, f["pi"], f["sigma"]
+        while q != tuple(range(sys.rank)):
+            q, pi, sigma = tuple(perm[i] for i in q), f["pi"][pi], f["sigma"][pi] * sigma
             order += 1
-        power = GroupElement.identity(sys, ring)
-        for _ in range(order):
-            power = power @ A
+        word = (("perm", name, {"pi": pi, "sigma": sigma, "inv": False}),)
+        power = GroupElement(sys, ring, word_to_matrix(sys, ring, word), word)
         total += 1
-        for r in sys.simple:
-            g = x_elem(sys, ring, r, ring.one)
-            if power @ g @ power.inverse() != g:
-                failures.append({"delta": name, "error": f"order-{order} power not central on generators"})
-                break
+        if not all(conjugation_holds(sys, power.mat, power.inverse().mat, sys.simple, ones[:sys.rank],
+                                     sys.simple, ones[:sys.rank])):
+            failures.append({"delta": name, "error": f"order-{order} power not central on generators"})
     rep = _report("graph", sys.name, ring.descriptor, None, automorphisms=sorted(autos))
     return _finish(rep, failures, total)
 

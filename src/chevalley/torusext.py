@@ -7,15 +7,9 @@ over S = R[y]/(y^m - r), as a product of h_{alpha_i} factors whose exponents
 are the first fundamental coweight cleared of denominators.  Their characters
 multiply value by value, so t and t^-1 are one `torus_diagonal` walk each.
 
-`verify_lift` compares t x_a(u) t^-1 with x_a(r^k u) on the support of
-x_a - I only.  Entry (i, j) of t x t^-1 is d_i x_ij d^-1_j, for the diagonals
-d of t and d^-1 of t^-1.  Both generators have the same support, which never
-meets the diagonal, and `_off_identity` reads their entries there from the
-tables of ad x_a and half its square, with no generator built; the left side
-there is x's entry scaled by d[row] d^-1[col].
-On the diagonal the left side is d_i d^-1_i and the right side 1, which one
-check per lift covers; everywhere else both sides are 0.  So the comparison
-is exact, equals comparing the full matrices, and forms no n x n matrix.
+`verify_lift` compares t x_a(u) t^-1 with x_a(r^k u) by
+`group.conjugation_holds`, on the generator tables and with no generator or
+n x n product formed.
 """
 
 from __future__ import annotations
@@ -24,10 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .group import GroupElement, h_alpha_values, torus_diagonal
-from .lie import ad_x_tables, structure_constants
+from .group import GroupElement, conjugation_holds, h_alpha_values, torus_diagonal
 from .matrices import Mat
 from .rings import ExtRing, Ring, RingElem, RingError, adjoin_root, is_unit
 from .roots import Root, RootSystem, build_root_system, solve_rational
@@ -111,14 +102,11 @@ def verify_lift(
 
     Simple roots are all checked; `general_roots` further roots are sampled,
     always including one of maximal alpha_1 coefficient.  t^{-1} is the
-    torus element of the inverted character; both sides are compared on the
-    support of x_a - I, after one check that t t^{-1} is 1 on the diagonal
-    (module docstring).
+    torus element of the inverted character, so a character that is not
+    t's fails every check.
     """
     S, base = lift.ring, lift.base
-    d = lift.element.mat.diagonal_stack()
-    d_inv = Mat.diagonal(S, torus_diagonal(sys, S, tuple(v.inv() for v in lift.character))).diagonal_stack()
-    inverse_ok = bool((S.mat_elemmul(d, d_inv) == np.array(S.one.vec)[:, None]).all())
+    t_inv = Mat.diagonal(S, torus_diagonal(sys, S, tuple(v.inv() for v in lift.character)))
     sample: list[Root] = list(sys.simple)
     others = [r for r in sys.roots if r not in sys.simple]
     kmax = max(others, key=lambda r: r[0])
@@ -126,35 +114,7 @@ def verify_lift(
     for _ in range(max(0, general_roots - 1)):
         sample.append(others[rng.randrange(len(others))])
     us = [base.random_element(rng) for _ in sample]
-    rows, cols, sizes, (values, rhs) = _off_identity(
-        sys, S, sample, [lift.embed(u) for u in us],
-        [lift.embed((lift.r ** root[0]) * u) for root, u in zip(sample, us)])
-    # the entries of every check side by side: two products for the lift
-    lhs = S.mat_elemmul(values, S.mat_elemmul(d[:, rows], d_inv[:, cols]))
-    same = (lhs == rhs).all(axis=0)
-    checks = tuple(LiftCheck(root=root, expected_power=root[0], ok=inverse_ok and bool(part.all()))
-                   for root, part in zip(sample, np.split(same, np.cumsum(sizes)[:-1])))
-    return LiftReport(system=sys.name, checks=checks)
-
-
-def _off_identity(sys: RootSystem, ring: Ring, roots, *params):
-    """The entries of x_r(t) - I where X = ad x_r or H = (ad x_r)^2 / 2 is
-    nonzero, for every root r of `roots` side by side, read from the two
-    tables: x_r(t) - I = t X + t^2 H, and the tables never share a position
-    and stay off the diagonal, so x_r(t) - I is 0 elsewhere.
-
-    Returns (rows, cols, sizes, values): the positions, the number of
-    positions of each root, and for each sequence in `params` (one t per
-    root) the (depth, count) stack of entries, t or t^2 times the table's
-    coefficient."""
-    N = structure_constants(sys)
-    tables = [A for r in roots for A in ad_x_tables(sys, N, r)]
-    counts = [len(A.coeff) for A in tables]
-    coeff = np.concatenate([A.coeff for A in tables])
-
-    def entries(ts) -> np.ndarray:
-        scalars = np.array([v for t in ts for v in (t.vec, (t * t).vec)], dtype=np.int64)
-        return ring.mat_mod(np.repeat(scalars.T, counts, axis=1) * coeff)
-
-    return (np.concatenate([A.dst for A in tables]), np.concatenate([A.src for A in tables]),
-            [a + b for a, b in zip(counts[::2], counts[1::2])], [entries(ts) for ts in params])
+    oks = conjugation_holds(sys, lift.element.mat, t_inv, sample, [lift.embed(u) for u in us], sample,
+                            [lift.embed((lift.r ** root[0]) * u) for root, u in zip(sample, us)])
+    return LiftReport(system=sys.name, checks=tuple(
+        LiftCheck(root=root, expected_power=root[0], ok=ok) for root, ok in zip(sample, oks)))

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from chevalley import group
+from chevalley import group, lie
 from chevalley.group import (
     Character,
     GroupElement,
@@ -24,10 +24,11 @@ from chevalley.group import (
     word_to_matrix,
     x_elem,
 )
-from chevalley.lie import h_index, root_index
+from chevalley.lie import ad_x, h_index, root_index, structure_constants
 from chevalley.matrices import Mat
-from chevalley.rings import RingError, make_ring
+from chevalley.rings import Ring, RingError, make_ring
 from chevalley.roots import neg, system
+from chevalley.suites import suite_graph
 
 A2 = system("A2")
 Z81 = make_ring("zmod:3^4")
@@ -218,9 +219,9 @@ def reference_inverse(g):
 def assert_same_element(g, h):
     assert g.mat == h.mat
     assert g.word_to_json() == h.word_to_json()
-    # and each permutation factor holds the same integer matrix
-    perms = [[f[2]["matrix"] for f in e.word if f[0] == "perm"] for e in (g, h)]
-    assert all(a is b for a, b in zip(*perms))
+    # and each permutation factor holds the same integer arrays
+    perms = [[f[2] for f in e.word if f[0] == "perm"] for e in (g, h)]
+    assert all(a["pi"] is b["pi"] and a["sigma"] is b["sigma"] for a, b in zip(*perms))
 
 
 @pytest.mark.parametrize("token,name", [("D4", "triality"), ("E6", "flip")])
@@ -340,27 +341,74 @@ def test_graph_rejects_non_symmetry():
         graph_matrix(A2, Z81, "triality")
 
 
+def reference_graph_int_matrix(sys, perm):
+    """The deleted dense build of the diagram matrix, verbatim but for the
+    cache: the integer signed permutation, checked by dense products
+    A X_r A^T = eps(r) X_{delta r}."""
+    group._check_diagram_symmetry(sys, perm)
+    eps = group._graph_signs(sys, perm)
+    n = sys.n
+    A = np.zeros((n, n), dtype=np.int64)
+    for r in sys.roots:
+        A[root_index(sys, apply_diagram(perm, r)), root_index(sys, r)] = eps[r]
+    for i in range(sys.rank):
+        A[h_index(sys, perm[i]), h_index(sys, i)] = 1
+    N = structure_constants(sys)
+    for r in sys.roots:
+        lhs = A @ ad_x(sys, N, r) @ A.T
+        if not np.array_equal(lhs, eps[r] * ad_x(sys, N, apply_diagram(perm, r))):
+            raise RuntimeError(f"diagram matrix fails on {r}")
+    return A
+
+
+def reference_lift(ring, intmat) -> Mat:
+    """The deleted `Ring.lift_int_matrix`: the integers in slot 0, reduced."""
+    out = np.zeros((ring.depth,) + intmat.shape, dtype=np.int64)
+    out[0] = intmat
+    return Mat(ring, out)
+
+
 def test_graph_matrix_is_built_and_checked_once(monkeypatch):
     # the signed permutation is cached per system and symmetry: repeated
-    # calls, over any ring, run its conjugation check A X_r A^T once
-    group._graph_int_matrix.cache_clear()
+    # calls, over any ring, run its conjugation check on the tables once,
+    # and its matrix, or the transpose for the inverse, is the dense
+    # integer build lifted to the ring
+    group._graph_signed_perm.cache_clear()
     checks = []
-    ad_x = group.ad_x
-    monkeypatch.setattr(group, "ad_x", lambda *args: checks.append(args[2]) or ad_x(*args))
+    tables = group.ad_x_tables
+    monkeypatch.setattr(group, "ad_x_tables", lambda *args: checks.append(args[2]) or tables(*args))
     sys, trunc = system("D4"), make_ring("trunc:3:3")
     first = graph_matrix(sys, Z81, "triality")
     assert len(checks) == 2 * len(sys.roots)
-    A = first.word[0][2]["matrix"]
-    assert not A.flags.writeable
-    for ring in (Z81, trunc, Z81):
+    f = first.word[0][2]
+    assert not f["pi"].flags.writeable and not f["sigma"].flags.writeable
+    A = reference_graph_int_matrix(sys, diagram_automorphisms(sys)["triality"])
+    for desc in ["zmod:3^4", "gf:3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3", "zmod:3^4"]:
+        ring = make_ring(desc)
         again = graph_matrix(sys, ring, "triality")
-        assert np.array_equal(again.word[0][2]["matrix"], A)
-        assert again.mat == Mat.from_int_matrix(ring, A)
+        assert again.word[0][2]["pi"] is f["pi"] and again.word[0][2]["sigma"] is f["sigma"]
+        assert again.mat == reference_lift(ring, A)
+        assert again.inverse().mat == reference_lift(ring, A.T)
     assert graph_matrix(sys, Z81, (2, 1, 3, 0)).mat == first.mat
     assert len(checks) == 2 * len(sys.roots)
     # another symmetry of the same system is built and checked on its own
     graph_matrix(sys, trunc, "swap")
     assert len(checks) == 4 * len(sys.roots)
+
+
+def test_graph_check_forms_no_dense_product(monkeypatch):
+    # the diagram matrix's self-check and the graph suite read the
+    # generator tables: no dense ad x_r and no ring matrix product
+    def refuse(*args):
+        raise AssertionError("dense product")
+
+    monkeypatch.setattr(lie, "ad_x", refuse)
+    monkeypatch.setattr(group, "ad_x", refuse, raising=False)
+    monkeypatch.setattr(Ring, "mat_mul", refuse)
+    for token, desc in [("D4", "zmod:3^2"), ("E6", "trunc:3:3"), ("A3", "ext:zmod:5^2:2:3")]:
+        group._graph_signed_perm.cache_clear()
+        graph_matrix(system(token), make_ring(desc), "identity")
+        assert suite_graph(token, desc)["ok"]
 
 
 def reference_mat_from_json(ring, obj) -> Mat:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from chevalley.group import x_elem
+from chevalley.group import _off_identity, x_elem
 from chevalley.lie import (
     StructureConstants,
     ad_x,
@@ -18,7 +18,6 @@ from chevalley.lie import (
 )
 from chevalley.rings import make_ring
 from chevalley.roots import add, build_root_system, height, neg, system
-from chevalley.torusext import _off_identity
 
 
 def brackets_match_ad(sys, N, a, b):

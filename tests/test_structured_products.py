@@ -20,13 +20,12 @@ from hypothesis import strategies as st
 
 from chevalley import rings
 from chevalley.decompose import compose, recover
-from chevalley.group import x_elem
+from chevalley.group import _off_identity, x_elem
 from chevalley.lie import SparseColumns, ad_x, ad_x_squared, ad_x_tables, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import _MAX_MODULUS, RingError, _is_prime, make_ring
 from chevalley.roots import neg, system
 from chevalley.suites import random_factored
-from chevalley.torusext import _off_identity
 
 # the largest prime the int64 bound n * (q - 1)^2 < 2^63 admits for n <= 248
 BIG_PRIME = max(p for p in range(_MAX_MODULUS - 100, _MAX_MODULUS + 1) if _is_prime(p))
@@ -324,11 +323,12 @@ def test_lazy_diagonal_data_equals_dense_scatter(token, desc, seed):
     sys, ring = system(token), make_ring(desc)
     elems = random_diagonal_elems(ring, sys.n, seed)
     D = Mat.diagonal(ring, elems)
+    pi, m = D.monomial()
     assert D._data is None
+    assert np.array_equal(pi, np.arange(sys.n)) and np.array_equal(m, np.array([x.vec for x in elems]).T)
     data = D.data
     assert np.array_equal(data, reference_diagonal_data(ring, elems))
     assert D.data is data
-    assert np.array_equal(D.diagonal_stack(), np.array([x.vec for x in elems]).T)
     assert not data.flags.writeable
     with pytest.raises(ValueError):
         data[0, 0, 0] = 1
@@ -354,22 +354,22 @@ def test_diagonal_on_the_left_equals_dense(token, desc, seed, pick):
 @settings(max_examples=40, deadline=None)
 @given(case)
 def test_off_identity_is_the_support_of_x_minus_identity(args):
-    # the entries `verify_lift` reads from the tables of ad x_r and its
-    # square, for two roots side by side and two parameters each, against
-    # the dense x_r(t) - I
+    # the entries `conjugation_holds` reads from the tables of ad x_r and
+    # its square, for two roots side by side, against the dense x_r(t) - I,
+    # for two parameter lists
     token, desc, seed, pick = args
     sys, ring = system(token), make_ring(desc)
     roots = [sys.roots[pick % len(sys.roots)], sys.roots[(pick // 7) % len(sys.roots)]]
     params = [[random_mat(ring, 1, seed + 2 * i + j).get(0, 0) for j in range(2)] for i in range(2)]
-    rows, cols, sizes, values = _off_identity(sys, ring, roots, *params)
-    assert len(values) == 2 and sum(sizes) == len(rows) == len(cols)
-    ends = np.cumsum(sizes)
-    for j, root in enumerate(roots):
-        part = slice(ends[j] - sizes[j], ends[j])
-        for ts, vals in zip(params, values):
+    for ts in params:
+        ids, rows, cols, vals = _off_identity(sys, ring, roots, ts)
+        assert len(ids) == len(rows) == len(cols) == vals.shape[1] and vals.any(axis=0).all()
+        for j, root in enumerate(roots):
+            part = ids == j
             rest = ring.mat_mod(x_elem(sys, ring, root, ts[j]).mat.data - Mat.identity(ring, sys.n).data)
             assert np.array_equal(rest[:, rows[part], cols[part]], vals[:, part])
             rest[:, rows[part], cols[part]] = 0
             assert not rest.any()
-    with pytest.raises(RingError):
-        x_elem(sys, ring, roots[0], params[0][0]).mat.diagonal_stack()
+    # a generator with a unit t has columns of two nonzero entries
+    with pytest.raises(RingError, match="not monomial"):
+        x_elem(sys, ring, roots[0], ring.one).mat.monomial()
