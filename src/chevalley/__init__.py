@@ -12,7 +12,6 @@ from .group import (
     Character,
     GroupElement,
     check_torus_conjugation,
-    commutator,
     commutator_check,
     congruence_member,
     diagram_automorphisms,
@@ -67,7 +66,6 @@ __all__ = [
     "build_linearized_system",
     "build_root_system",
     "check_torus_conjugation",
-    "commutator",
     "commutator_check",
     "compose",
     "congruence_member",

@@ -5,6 +5,12 @@ word of tagged factors (unipotent, torus, scalar, diagram) that multiplies
 out to the matrix.  Words serialize to JSON and make inverses cheap: a word
 is inverted as data (`inverse_word`), each factor by the rule of its kind,
 and `_factor_matrix` is the one place a factor's matrix is built.
+
+The commutator law [x_a(t), x_b(u)] = x_{a+b}(N(a,b) t u) is checked as the
+word x_a(t) x_b(u) x_a(-t) x_b(-u) x_{a+b}(-N t u) = I (no last factor when
+a+b is no root) on the rows R its factors' `ad_x_tables` move, by
+`word_to_matrix` with `rows`: a factor I + T has T zero off R, and
+e_i^T (I + T) = e_i^T, so every row of the product outside R is a row of I.
 """
 
 from __future__ import annotations
@@ -299,23 +305,24 @@ def check_torus_conjugation(sys: RootSystem, chi: Character, beta: Root, xi: Rin
                              [chi.value(tuple(beta)) * xi])[0]
 
 
-def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g @ h @ g.inverse() @ h.inverse()
-
-
 def commutator_check(
     sys: RootSystem, ring: Ring, a: Root, b: Root, t: RingElem, u: RingElem
 ) -> bool:
-    """[x_a(t), x_b(u)] = x_{a+b}(N(a,b) t u) when a+b is a root, identity otherwise."""
+    """[x_a(t), x_b(u)] = x_{a+b}(N(a,b) t u), or I when a+b is no root (module docstring)."""
     a, b = tuple(a), tuple(b)
     if a == neg(b):
         raise ValueError("opposite roots are outside the commutator identity")
-    c = commutator(x_elem(sys, ring, a, t), x_elem(sys, ring, b, u))
+    word = [("x", a, t), ("x", b, u), ("x", a, -t), ("x", b, -u)]
     s = add(a, b)
+    N = structure_constants(sys)
     if sys.is_root(s):
-        N = structure_constants(sys)
-        return c == x_elem(sys, ring, s, ring.from_int(N.n(a, b)) * t * u)
-    return c.is_identity()
+        word.append(("x", s, -(ring.from_int(N.n(a, b)) * t * u)))
+    moved = np.zeros(sys.n, dtype=bool)
+    for f in word:
+        for A in ad_x_tables(sys, N, f[1]):
+            moved[A.dst] = True
+    rows = np.flatnonzero(moved)
+    return word_to_matrix(sys, ring, word, rows) == Mat.identity(ring, sys.n, rows)
 
 
 def congruence_member(g: GroupElement) -> bool:

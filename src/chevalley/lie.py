@@ -24,6 +24,7 @@ class StructureConstants:
 
     def __init__(self, sys: RootSystem):
         self.sys = sys
+        self.basis = basis_elements(sys)  # listed once for every root's `ad_x_tables`
         l = sys.rank
         # eps(a_i, a_i) = -1; eps(a_i, a_j) = (-1)^(a_i, a_j) for i < j; else +1
         B = np.zeros((l, l), dtype=np.int64)
@@ -121,12 +122,12 @@ class SparseColumns:
     Built from (src, dst, coeff) triples, A[dst, src] = coeff, with distinct
     (src, dst); zero coefficients are dropped.  `cols` lists the distinct
     columns.  A right product M @ A touches only those columns, at
-    O(rows * nnz) cost: the first entry of each column gives M[:, dst] *
-    coeff, and the remaining entries (ad x_a has several only in column
-    x_-a, whose image h_a spreads over the Cartan rows) are added by one
-    small product with `fold`.  All arrays are read-only.  `col_bound` is the
-    largest column sum of |coeff|, so an entry of M @ A is at most col_bound
-    times the largest |entry| of M.
+    O(rows * nnz) cost, and `right_mul_t` forms them from M^T: the first
+    entry of each column gives row dst of M^T times coeff, and the remaining
+    entries (ad x_a has several only in column x_-a, whose image h_a spreads
+    over the Cartan rows) are added by one small product with `fold`.  All
+    arrays are read-only.  `col_bound` is the largest column sum of |coeff|,
+    so an entry of M @ A is at most col_bound times the largest |entry| of M.
     """
 
     __slots__ = ("n", "src", "dst", "coeff", "cols", "lead_dst", "lead_coeff",
@@ -161,21 +162,11 @@ class SparseColumns:
             col_sums[s] = col_sums.get(s, 0) + abs(c)
         self.col_bound = max(col_sums.values(), default=0)
 
-    def right_mul(self, M: np.ndarray) -> np.ndarray:
-        """Columns `cols` of M @ A over the last two axes of M, as exact
-        unreduced integers."""
-        if M.shape[-1] != self.n:
-            raise ValueError(f"matrix with {M.shape[-1]} columns times a sparse {self.n} x {self.n} table")
-        out = M[..., self.lead_dst] * self.lead_coeff
-        if len(self.extra_dst):
-            out[..., self.folded] += M[..., self.extra_dst] @ self.fold
-        return out
-
     def right_mul_t(self, MT: np.ndarray) -> np.ndarray:
-        """`right_mul` on the transposed layout: rows `cols` of (M @ A)^T =
-        A^T M^T, given M^T of shape (..., n, r).  On a C-ordered M^T every
-        gather is a copy of contiguous rows (`take`, about twice as fast as
-        the same fancy index here)."""
+        """Rows `cols` of (M @ A)^T = A^T M^T, given M^T of shape (..., n, r),
+        as exact unreduced integers.  On a C-ordered M^T every gather is a
+        copy of contiguous rows (`take`, about twice as fast as the same
+        fancy index here)."""
         if MT.shape[-2] != self.n:
             raise ValueError(f"matrix with {MT.shape[-2]} columns times a sparse {self.n} x {self.n} table")
         out = MT.take(self.lead_dst, axis=-2)
@@ -221,7 +212,7 @@ def ad_x_tables(sys: RootSystem, N: StructureConstants, r: Root) -> tuple[Sparse
         if not sys.is_root(r):
             raise ValueError(f"{r} is not a root of {sys.name}")
         columns: dict[int, list[tuple[int, int]]] = {}
-        for col, u in enumerate(basis_elements(sys)):
+        for col, u in enumerate(N.basis):
             for t, c in N.bracket(("x", r), u).items():
                 columns.setdefault(col, []).append((index_of(sys, t), c))
         square: dict[tuple[int, int], int] = {}

@@ -117,7 +117,7 @@ def build_linearized_system(sys: RootSystem, p: int) -> LinSystem:
         mats += [gens[neg(r)] for r in sys.positive if neg(r) != e]
         # the column of -(xe M) for each M, from M's nonzero columns
         for k, M in enumerate(mats):
-            P = M.right_mul(xe)
+            P = M.right_mul_t(xe.T).T
             i, c = np.nonzero(P)
             rows.append(base + i * n + M.cols[c])
             cols.append(np.full(len(i), off + k, dtype=np.int64))

@@ -12,7 +12,6 @@ from chevalley.group import (
     _x_mat,
     apply_diagram,
     check_torus_conjugation,
-    commutator,
     commutator_check,
     congruence_member,
     diagram_automorphisms,
@@ -24,10 +23,10 @@ from chevalley.group import (
     word_to_matrix,
     x_elem,
 )
-from chevalley.lie import ad_x, h_index, root_index, structure_constants
+from chevalley.lie import StructureConstants, ad_x, ad_x_tables, h_index, root_index, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import Ring, RingError, make_ring
-from chevalley.roots import neg, system
+from chevalley.roots import add, neg, system
 from chevalley.suites import suite_graph
 
 A2 = system("A2")
@@ -137,6 +136,103 @@ def test_t_k_rejects_an_index_out_of_range(k):
     ring = make_ring("zmod:3^3")
     with pytest.raises(ValueError, match="out of range"):
         t_k(A2, ring, k, ring.from_int(2))
+
+
+def commutator(g, h):
+    """The deleted `group.commutator`, verbatim."""
+    return g @ h @ g.inverse() @ h.inverse()
+
+
+def reference_commutator_check(sys, ring, a, b, t, u):
+    """The deleted dense `group.commutator_check`, verbatim: the commutator
+    of two whole generator elements, compared with x_{a+b}(N t u) or the
+    identity formed in full."""
+    a, b = tuple(a), tuple(b)
+    if a == neg(b):
+        raise ValueError("opposite roots are outside the commutator identity")
+    c = commutator(x_elem(sys, ring, a, t), x_elem(sys, ring, b, u))
+    s = add(a, b)
+    if sys.is_root(s):
+        N = structure_constants(sys)
+        return c == x_elem(sys, ring, s, ring.from_int(N.n(a, b)) * t * u)
+    return c.is_identity()
+
+
+COMMUTATOR_RINGS = ["zmod:3^3", "gf:3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3"]
+
+
+def commutator_pairs(token):
+    """Every ordered pair a != +-b at A2 and D4, a seeded sample of 200 at E6."""
+    sys = system(token)
+    pairs = [(a, b) for a in sys.roots for b in sys.roots if a != b and a != neg(b)]
+    return sys, pairs if sys.n < 78 else random.Random(23).sample(pairs, 200)
+
+
+@pytest.mark.parametrize("desc", COMMUTATOR_RINGS)
+@pytest.mark.parametrize("token", ["A2", "D4", "E6"])
+def test_commutator_check_equals_the_dense_reference(token, desc):
+    sys, pairs = commutator_pairs(token)
+    ring = make_ring(desc)
+    rng = random.Random(31)
+    for a, b in pairs:
+        u = ring.random_element(rng)
+        for t in (ring.random_element(rng), ring.zero):
+            got = commutator_check(sys, ring, a, b, t, u)
+            assert got == reference_commutator_check(sys, ring, a, b, t, u)
+            assert got
+
+
+@pytest.mark.parametrize("desc", COMMUTATOR_RINGS)
+@pytest.mark.parametrize("token", ["A2", "D4", "E6"])
+def test_a_wrong_structure_constant_sign_is_rejected(token, desc, monkeypatch):
+    # every table is built before N(a, b) is flipped, so only the law's
+    # x_{a+b}(N t u) sees the wrong sign; with units t and u, 2 N t u != 0
+    sys, pairs = commutator_pairs(token)
+    ring = make_ring(desc)
+    N = structure_constants(sys)
+    for r in sys.roots:
+        ad_x_tables(sys, N, r)
+    n = StructureConstants.n
+    monkeypatch.setattr(StructureConstants, "n", lambda self, a, b: -n(self, a, b))
+    rng = random.Random(37)
+    for a, b in pairs:
+        t, u = ring.random_unit(rng), ring.random_unit(rng)
+        want = not sys.is_root(add(a, b))
+        assert commutator_check(sys, ring, a, b, t, u) is want
+        assert reference_commutator_check(sys, ring, a, b, t, u) is want
+
+
+def test_commutator_check_multiplies_row_stacks_only(monkeypatch):
+    # at E6 every product inside the check has a row stack of fewer than n
+    # rows on its left and an unformed generator on its right, and every
+    # identity is built on rows
+    sys, pairs = commutator_pairs("E6")
+    ring = make_ring("zmod:3^2")
+    identities, products = [], []
+    identity, matmul = Mat.identity.__func__, Mat.__matmul__
+
+    def recording_identity(cls, ring, n, rows=None):
+        identities.append(rows)
+        return identity(cls, ring, n, rows)
+
+    def recording_matmul(self, other):
+        products.append((self.n if self._data is None else self._data.shape[1], other._data is None,
+                         other.factor is not None and other.factor[0]))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Mat, "identity", classmethod(recording_identity))
+    monkeypatch.setattr(Mat, "__matmul__", recording_matmul)
+    N, rng = structure_constants(sys), random.Random(41)
+    for a, b in pairs[:40]:
+        identities.clear()
+        assert commutator_check(sys, ring, a, b, ring.random_element(rng), ring.random_element(rng))
+        # the rows kept cover every row a factor of the word moves
+        roots = [a, b, add(a, b)] if sys.is_root(add(a, b)) else [a, b]
+        moved = {i for r in roots for A in ad_x_tables(sys, N, r) for i in A.dst.tolist()}
+        assert identities and all(rows is not None and moved <= set(rows.tolist()) for rows in identities)
+        assert all(len(rows) < sys.n for rows in identities)
+    assert len(products) >= 4 * 40
+    assert all(rows < sys.n and unformed and kind == "unipotent" for rows, unformed, kind in products)
 
 
 def test_commutator_identities_a2():

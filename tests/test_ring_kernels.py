@@ -216,13 +216,24 @@ def sparse_table(A):
     return SparseColumns(len(A), zip(src.tolist(), dst.tolist(), A[dst, src].tolist()))
 
 
+def reference_right_mul(A, M):
+    """The deleted `SparseColumns.right_mul`, verbatim: columns `cols` of
+    M @ A over the last two axes of M, as exact unreduced integers."""
+    if M.shape[-1] != A.n:
+        raise ValueError(f"matrix with {M.shape[-1]} columns times a sparse {A.n} x {A.n} table")
+    out = M[..., A.lead_dst] * A.lead_coeff
+    if len(A.extra_dst):
+        out[..., A.folded] += M[..., A.extra_dst] @ A.fold
+    return out
+
+
 def reference_generator_product(ref, M, terms):
     """M (I + sum s A) for (SparseColumns A, RingElem s) in `terms`, as the
     update reduced M A, then s (M A), then the sum."""
     out = M.copy()
     for A, s in terms:
         svec = np.asarray(s.vec, dtype=np.int64)[:, None, None]
-        sMA = ref.mat_elemmul(svec, ref.mat_mod(A.right_mul(M)))
+        sMA = ref.mat_elemmul(svec, ref.mat_mod(reference_right_mul(A, M)))
         out[..., A.cols] = ref.mat_mod(out[..., A.cols] + sMA)
     return out
 
@@ -298,7 +309,7 @@ def test_generator_update_matches_reference(args):
 
 
 # two or three tables on 8 columns, several entries per column (the fold of
-# `SparseColumns.right_mul`) and columns that overlap partly or not at all
+# `SparseColumns.right_mul_t`) and columns that overlap partly or not at all
 small_tables = st.lists(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-4, 4)),
                                  min_size=1, max_size=14), min_size=2, max_size=3)
 
