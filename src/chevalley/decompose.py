@@ -30,15 +30,13 @@ from .group import (
     Factor,
     GroupElement,
     inverse_word,
-    scalar_elem,
-    t_k,
     torus_diagonal,
     word_to_matrix,
     x_elem,
 )
 from .lie import ad_x_tables, h_index, root_index, structure_constants
 from .matrices import Mat
-from .rings import Ring, RingElem, RingError, is_unit
+from .rings import Ring, RingElem, RingError, Vec, is_unit
 from .roots import (
     Root,
     RootSystem,
@@ -103,24 +101,29 @@ class FactoredElement:
 
 
 def compose(sys: RootSystem, f: FactoredElement) -> GroupElement:
-    """Multiply out the normal form exactly.  The word is assembled once, as
-    data: the scalar, the l torus factors, then `_unipotent_word`; only the
-    matrices are multiplied."""
+    """Multiply out the normal form exactly: the matrices of
+    `normal_form_word`'s factors, the scalar times the l torus factors,
+    then each generator."""
     ring = f.ring
     if (len(f.s), len(f.t), len(f.u)) != (sys.rank, sys.m, sys.m):
         raise RingError(f"{sys.name} takes {sys.rank} torus and {sys.m} + {sys.m} unipotent parameters, "
                         f"not {len(f.s)} and {len(f.t)} + {len(f.u)}")
     if not is_unit(f.lam) or not all(is_unit(x) for x in f.s):
         raise RingError("lambda and the torus parameters must be units")
-    scalar = scalar_elem(sys, ring, f.lam)
-    torus = [t_k(sys, ring, k, x) for k, x in enumerate(f.s)]
-    unipotent = _unipotent_word(sys, f)
-    mat = scalar.mat
-    for h in torus:
-        mat = mat @ h.mat
-    for _, r, t in unipotent:
+    word = normal_form_word(sys, f)
+    mat = word_to_matrix(sys, ring, word[: sys.rank + 1])
+    for _, r, t in word[sys.rank + 1:]:
         mat = mat @ x_elem(sys, ring, r, t).mat
-    return GroupElement(sys, ring, mat, scalar.word + tuple(h.word[0] for h in torus) + unipotent)
+    return GroupElement(sys, ring, mat, word)
+
+
+def normal_form_word(sys: RootSystem, f: FactoredElement) -> tuple[Factor, ...]:
+    """f's normal form as data: the scalar lam, the l factors t_k(s_k) (the
+    character s_k on alpha_k and 1 on the other simples), then
+    `_unipotent_word`."""
+    one = f.ring.one
+    torus = tuple(("h", tuple(x if i == k else one for i in range(sys.rank))) for k, x in enumerate(f.s))
+    return (("scalar", f.lam),) + torus + _unipotent_word(sys, f)
 
 
 def _unipotent_word(sys: RootSystem, f: FactoredElement) -> tuple[Factor, ...]:
@@ -130,11 +133,14 @@ def _unipotent_word(sys: RootSystem, f: FactoredElement) -> tuple[Factor, ...]:
             + tuple(("x", neg(p), u) for p, u in zip(sys.positive, f.u)))
 
 
-def _inverse_torus_diag(sys: RootSystem, lam: RingElem, s: tuple[RingElem, ...]) -> list[RingElem]:
-    """The diagonal of (lam * t_1(s_1) ... t_l(s_l))^-1: lam^-1 times the
-    torus diagonal of the inverted s."""
-    lam_inv = lam.inv()
-    return [lam_inv * d for d in torus_diagonal(sys, lam.ring, tuple(x.inv() for x in s))]
+def _inverse_torus_diag(sys: RootSystem, lam: RingElem, s: tuple[RingElem, ...]) -> list[Vec]:
+    """The diagonal of (lam * t_1(s_1) ... t_l(s_l))^-1, as coefficient
+    vectors: lam^-1 times the torus diagonal of s with each root's pair
+    swapped, chi(p)^-1 and chi(p), and lam^-1 on the Cartan rows."""
+    ring = lam.ring
+    lam_inv = ring.inv_vec(lam.vec)
+    d = torus_diagonal(sys, ring, s)
+    return [ring.mul_vec(lam_inv, d[k ^ 1]) for k in range(2 * sys.m)] + [lam_inv] * sys.rank
 
 
 def _compose_inverse_mat(sys: RootSystem, f: FactoredElement, rows) -> Mat:
@@ -364,7 +370,7 @@ def _solve_cells(sys: RootSystem, mat: Mat) -> FactoredElement:
         for cell, w in zip(unipotent, values[l + 1:]):
             incr = w * lead_inv[cell.lead]
             if scale is not None:
-                incr = incr * scale[cell.row]
+                incr = RingElem(ring, ring.mul_vec(incr.vec, scale[cell.row]))
             if cell.kind == "t":
                 tnew[cell.index] = tnew[cell.index] + incr
             else:

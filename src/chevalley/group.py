@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .lie import ad_x_tables, h_index, root_index, structure_constants
 from .matrices import Mat
-from .rings import Ring, RingElem, RingError
+from .rings import Ring, RingElem, RingError, Vec
 from .roots import Root, RootSystem, add, build_root_system, height, neg, sub
 
 Factor = tuple  # ("x", root, t) | ("h", values) | ("scalar", lam) | ("perm", name, {"pi", "sigma", "inv"})
@@ -64,24 +65,24 @@ class GroupElement:
         word = inverse_word(self.word)
         return GroupElement(self.sys, self.ring, word_to_matrix(self.sys, self.ring, word), word)
 
-    def word_to_json(self) -> list:
-        if self.word is None:
-            raise RingError("element has no generator word")
-        out = []
-        for f in self.word:
-            if f[0] == "x":
-                out.append({"kind": "x", "root": list(f[1]), "param": self.ring.elem_to_json(f[2])})
-            elif f[0] == "h":
-                out.append({"kind": "h", "values": [self.ring.elem_to_json(v) for v in f[1]]})
-            elif f[0] == "scalar":
-                out.append({"kind": "scalar", "value": self.ring.elem_to_json(f[1])})
-            else:
-                out.append({"kind": "graph", "delta": f[1], "inverse": bool(f[2].get("inv"))})
-        return out
-
     def __repr__(self) -> str:
         w = "?" if self.word is None else len(self.word)
         return f"GroupElement({self.sys.name}/{self.ring.descriptor}, word={w})"
+
+
+def word_to_json(ring: Ring, word) -> list:
+    """`word` as JSON: one object per factor, tagged by its kind."""
+    out = []
+    for f in word:
+        if f[0] == "x":
+            out.append({"kind": "x", "root": list(f[1]), "param": ring.elem_to_json(f[2])})
+        elif f[0] == "h":
+            out.append({"kind": "h", "values": [ring.elem_to_json(v) for v in f[1]]})
+        elif f[0] == "scalar":
+            out.append({"kind": "scalar", "value": ring.elem_to_json(f[1])})
+        else:
+            out.append({"kind": "graph", "delta": f[1], "inverse": bool(f[2].get("inv"))})
+    return out
 
 
 def _factor_matrix(sys: RootSystem, ring: Ring, f: Factor) -> Mat:
@@ -90,7 +91,7 @@ def _factor_matrix(sys: RootSystem, ring: Ring, f: Factor) -> Mat:
     if f[0] == "h":
         return _char_mat(sys, ring, f[1])
     if f[0] == "scalar":
-        return Mat.diagonal(ring, [f[1]] * sys.n)
+        return Mat.diagonal(ring, [f[1].vec] * sys.n)
     # sigma[j] at (pi[j], j), or at (j, pi[j]) for the transpose
     at = (f[2]["pi"], np.arange(sys.n))
     data = np.zeros((ring.depth, sys.n, sys.n), dtype=np.int64)
@@ -170,34 +171,34 @@ class Character:
 
 
 @lru_cache(maxsize=None)
-def _root_splits(kind: str, rank: int) -> dict[Root, tuple[Root, int]]:
-    """p -> (q, i) with p = q + a_i and q a root, for every non-simple
-    positive root p; it depends only on the system."""
+def _root_splits(kind: str, rank: int) -> tuple[tuple[int, int], ...]:
+    """(j, i) for each non-simple positive root p in turn: p is the j-th
+    positive root plus a_i.  sys.positive runs by height after the simple
+    roots, so j is an earlier root; it depends only on the system."""
     sys = build_root_system(kind, rank)
-    return {p: next((sub(p, s), i) for i, s in enumerate(sys.simple) if p[i] and sys.is_root(sub(p, s)))
-            for p in sys.positive if p not in sys.simple}
+    return tuple(next((sys.pos_index[sub(p, s)], i) for i, s in enumerate(sys.simple)
+                      if p[i] and sys.is_root(sub(p, s)))
+                 for p in sys.positive[rank:])
 
 
-def torus_diagonal(sys: RootSystem, ring: Ring, values: tuple[RingElem, ...]) -> list[RingElem]:
-    """The diagonal of the torus element whose character takes `values` on
-    the simple roots: chi(p) at 2k and chi(p)^-1 at 2k + 1 for the k-th
-    positive root p, and 1 on the Cartan rows.
+def torus_diagonal(sys: RootSystem, ring: Ring, values: tuple[RingElem, ...]) -> list[Vec]:
+    """The diagonal, as coefficient vectors, of the torus element whose
+    character takes `values` on the simple roots: chi(p) at 2k and
+    chi(p)^-1 at 2k + 1 for the k-th positive root p, and 1 on the Cartan
+    rows.
 
-    sys.positive runs by height, so every non-simple root is an earlier root
-    plus a simple root a_i (`_root_splits`), and its pair is that root's pair
-    times (chi(a_i), chi(a_i)^-1): the l simple values are inverted once and
-    each further root costs two products.
+    Each non-simple root's pair is its `_root_splits` parent's pair times
+    (chi(a_i), chi(a_i)^-1), and is the parent's own when chi(a_i) = 1: the
+    simple values other than 1 are inverted once (RingError for a non-unit)
+    and each further root costs at most two products.
     """
-    splits = _root_splits(sys.kind, sys.rank)
-    pairs = {s: (v, v.inv()) for s, v in zip(sys.simple, values)}
-    diag = []
-    for p in sys.positive:
-        if p not in pairs:
-            q, i = splits[p]
-            (v, w), (vi, wi) = pairs[q], pairs[sys.simple[i]]
-            pairs[p] = (v * vi, w * wi)
-        diag += pairs[p]
-    return diag + [ring.one] * sys.rank
+    one, mul = ring.one.vec, ring.mul_vec
+    simple = [None if v.vec == one else (v.vec, ring.inv_vec(v.vec)) for v in values]
+    pairs = [s or (one, one) for s in simple]
+    for j, i in _root_splits(sys.kind, sys.rank):
+        s, p = simple[i], pairs[j]
+        pairs.append(p if s is None else (mul(p[0], s[0]), mul(p[1], s[1])))
+    return list(chain.from_iterable(pairs)) + [one] * sys.rank
 
 
 def _char_mat(sys: RootSystem, ring: Ring, values: tuple[RingElem, ...]) -> Mat:
@@ -220,33 +221,19 @@ def h_alpha(sys: RootSystem, ring: Ring, alpha: Root, u: RingElem) -> GroupEleme
     return h_elem(sys, Character(ring, h_alpha_values(sys, alpha, u)))
 
 
-@lru_cache(maxsize=None)
-def _t_k_powers(kind: str, rank: int, k: int) -> tuple[int, ...]:
-    """The power of x on each diagonal position of t_k(x): p_k and -p_k on
-    the pair of the positive root p, 0 on the Cartan rows."""
-    sys = build_root_system(kind, rank)
-    return tuple(e for p in sys.positive for e in (p[k], -p[k])) + (0,) * rank
-
-
 def t_k(sys: RootSystem, ring: Ring, k: int, x: RingElem) -> GroupElement:
     """Torus element whose character is x on alpha_k and 1 on the other
-    simples: its diagonal is x^{p_k} and x^{-p_k} on the pair of each
-    positive root p, read from a table of the powers of x and of x^-1."""
+    simples; RingError when x is no unit."""
     if not 0 <= k < sys.rank:
         raise ValueError(f"simple-root index {k} out of range")
-    powers = _t_k_powers(sys.kind, sys.rank, k)
-    x_inv = x.inv()  # the unit check: RingError when x is no unit
-    table = {0: ring.one}
-    for e in range(1, max(powers) + 1):
-        table[e], table[-e] = table[e - 1] * x, table[1 - e] * x_inv
     values = tuple(x if i == k else ring.one for i in range(sys.rank))
-    return GroupElement(sys, ring, Mat.diagonal(ring, [table[e] for e in powers]), (("h", values),))
+    return GroupElement(sys, ring, _char_mat(sys, ring, values), (("h", values),))
 
 
 def scalar_elem(sys: RootSystem, ring: Ring, lam: RingElem) -> GroupElement:
     if not ring.is_unit_vec(lam.vec):
         raise RingError("scalar factor must be a unit")
-    return GroupElement(sys, ring, Mat.diagonal(ring, [lam] * sys.n), (("scalar", lam),))
+    return GroupElement(sys, ring, Mat.diagonal(ring, [lam.vec] * sys.n), (("scalar", lam),))
 
 
 # ---------------------------------------------------------------------------

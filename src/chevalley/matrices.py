@@ -13,14 +13,14 @@ update all work for any row count.  It is refused as a right operand.
 
 A matrix built by `Mat.diagonal` or `Mat.unipotent` records that structure as
 its factor and keeps only the factor: its dense stack is formed once, the
-first time `data` is read, and is read-only.  A product uses a factor on
-either side where it can:
+first time `data` is read, and is read-only.  A product uses the factor of
+its right operand:
 
-* a diagonal is its (depth, 1, n) stack of entries.  On the right it scales
-  the columns of the left operand, on the left it scales the rows of a dense
-  right operand: both are `Ring.mat_elemmul`, with the broadcast axis
-  swapped.  A product of two diagonals is the diagonal of their entrywise
-  product and forms no n x n stack.
+* a diagonal is its (depth, 1, n) stack of entries.  It scales the columns
+  of the left operand by `Ring.mat_elemmul`, and a product of two diagonals
+  is the diagonal of their entrywise product and forms no n x n stack.  A
+  diagonal on the left of a dense matrix is a dense operand: no verb
+  multiplies in that order.
 * a generator, I + sum s_k A_k (sparse integer A_k), on the right adds
   sum s_k (M A_k) to the columns the A_k touch, as one block update: the
   columns of M in the sorted union of the terms' columns are gathered once,
@@ -151,10 +151,10 @@ class Mat:
         return cls(ring, data, reduce=False)
 
     @classmethod
-    def diagonal(cls, ring: Ring, elems) -> "Mat":
-        """The diagonal matrix of the ring elements `elems`; only the factor
-        is built."""
-        flat = np.fromiter(chain.from_iterable(e.vec for e in elems), dtype=np.int64)
+    def diagonal(cls, ring: Ring, vecs) -> "Mat":
+        """The diagonal matrix of the canonical coefficient vectors `vecs`;
+        only the factor is built."""
+        flat = np.fromiter(chain.from_iterable(vecs), dtype=np.int64)
         dvec = flat.reshape(-1, ring.depth).T[:, None, :]
         return cls._diagonal(ring, dvec)
 
@@ -186,16 +186,12 @@ class Mat:
         square = other.factor is not None or other.data.shape[1] == other.n
         if other.ring != ring or other.n != self.n or not square:
             raise RingError(f"cannot multiply {self!r} by {other!r}")
-        left = self.factor[1] if self.factor is not None and self.factor[0] == "diag" else None
         if other.factor is None:
-            if left is not None:
-                # a row scaling: the factor as a (depth, n, 1) column scales row i by d_i
-                return Mat(ring, ring.mat_elemmul(other.data, left.transpose(0, 2, 1)), reduce=False)
             return Mat(ring, ring.mat_mul(self.data, other.data))
         kind, parts = other.factor
         if kind == "diag":
-            if left is not None:
-                return Mat._diagonal(ring, ring.mat_elemmul(left, parts))
+            if self.factor is not None and self.factor[0] == "diag":
+                return Mat._diagonal(ring, ring.mat_elemmul(self.factor[1], parts))
             return Mat(ring, ring.mat_elemmul(self.data, parts), reduce=False)
         return Mat(ring, _unipotent_right(ring, self.data, parts), reduce=False)
 

@@ -227,11 +227,6 @@ _E8_CHAIN: tuple[Root, ...] = (
 )
 
 
-def _a_chain(sys: RootSystem) -> list[Root]:
-    l = sys.rank
-    return [tuple(1 if j >= i else 0 for j in range(l)) for i in range(l)]
-
-
 def _d_chain(sys: RootSystem) -> list[Root]:
     l = sys.rank
 
@@ -320,11 +315,9 @@ def _anchor(sys: RootSystem, gammas, beta: Root) -> ExceptionEntry:
 @lru_cache(maxsize=None)
 def _marked(kind: str, rank: int) -> MarkedSequence:
     sys = build_root_system(kind, rank)
-    if kind == "A":
-        chain = _a_chain(sys)
-    elif kind == "D":
+    if kind == "D":
         chain = _d_chain(sys)
-    elif rank == 8:
+    elif kind == "E" and rank == 8:
         chain = list(_E8_CHAIN)
     else:
         chain = _greedy_chain(sys)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import RecoveryError, _solve_cells, compose, designated_positions
-from .group import GroupElement, congruence_member, graph_matrix, inverse_word, word_to_matrix
+from .decompose import RecoveryError, designated_positions, normal_form_word, recover
+from .group import GroupElement, congruence_member, graph_matrix, inverse_word, word_to_json, word_to_matrix
 from .lie import SparseColumns, ad_x, ad_x_tables, structure_constants, t_matrix
 from .rings import RingError
 from .roots import RootSystem, neg
@@ -271,11 +271,12 @@ def standardness_certificate(
     itself is never multiplied out.  The residue-field factorization itself
     is out of scope here and must come from the caller.
 
-    C' (C itself without residue data) is then gauged: the designated cells
-    of D^-1 C' are solved as in `recover`, for D = compose(f) in normal
+    C' (C itself without residue data) is then gauged by `recover`: the
+    designated cells of D^-1 C' are solved for D = compose(f) in normal
     form.  D is invertible, so D^-1 C' is the identity exactly when
-    D == C', and that comparison decides the verdict: D^-1 C' is never
-    formed.
+    D == C', recover's own check, and that decides the verdict: D^-1 C' is
+    never formed.  The witness D_word is f's `normal_form_word`, built as
+    data.
     """
     ring = C.ring
     if not ring.local:
@@ -284,26 +285,13 @@ def standardness_certificate(
     if delta is not None or residue_word is not None:
         word = inverse_word(graph_matrix(sys, ring, delta or "identity").word + tuple(residue_word or ()))
         work = GroupElement(sys, ring, word_to_matrix(sys, ring, word), word) @ C
-    if not congruence_member(work):
-        return Certificate(
-            verdict="nonstandard-or-outside-scope",
-            delta=delta,
-            d_word=None,
-            residual_zero=False,
-        )
-    try:
-        D = compose(sys, _solve_cells(sys, work.mat))
-    except RecoveryError:
-        return Certificate(
-            verdict="nonstandard-or-outside-scope",
-            delta=delta,
-            d_word=None,
-            residual_zero=False,
-        )
-    ok = D.mat == work.mat
-    return Certificate(
-        verdict="standard" if ok else "nonstandard-or-outside-scope",
-        delta=delta,
-        d_word=D.word_to_json() if ok else None,
-        residual_zero=ok,
-    )
+    f = None
+    if congruence_member(work):
+        try:
+            f = recover(sys, work)
+        except RecoveryError:
+            pass
+    if f is None:
+        return Certificate(verdict="nonstandard-or-outside-scope", delta=delta, d_word=None, residual_zero=False)
+    return Certificate(verdict="standard", delta=delta, d_word=word_to_json(ring, normal_form_word(sys, f)),
+                       residual_zero=True)

@@ -5,7 +5,9 @@ first simple root by a unit r and fixes the other simple-root generators.
 The lift realizes this action as a genuine diagonal element over S = R or
 over S = R[y]/(y^m - r), as a product of h_{alpha_i} factors whose exponents
 are the first fundamental coweight cleared of denominators.  Their characters
-multiply value by value, so t and t^-1 are one `torus_diagonal` walk each.
+multiply value by value, so t is one `torus_diagonal` walk, and t^-1 is the
+walk of the inverted values: `torus_diagonal` is the only builder of a torus
+diagonal, and its coefficient vectors go straight into `Mat.diagonal`.
 
 `verify_lift` compares t x_a(u) t^-1 with x_a(r^k u) by
 `group.conjugation_holds`, on the generator tables and with no generator or

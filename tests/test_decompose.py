@@ -16,7 +16,7 @@ from chevalley.decompose import (
     entry_formula,
     recover,
 )
-from chevalley.group import GroupElement, _x_mat, torus_diagonal, x_elem
+from chevalley.group import GroupElement, _x_mat, scalar_elem, t_k, torus_diagonal, x_elem
 from chevalley.lie import ad_x, h_index, root_index, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import RingError, is_unit, make_ring
@@ -124,8 +124,8 @@ def test_position_table_records_lead_coefficients(token):
 def torus_diag(sys: RootSystem, f: FactoredElement) -> list:
     """The diagonal of lam * t_1(s_1) ... t_l(s_l), as `decompose._torus_diag`
     formed it before `EntryFormula.evaluate` read one character value
-    instead: lam times `group.torus_diagonal` of s."""
-    return [f.lam * d for d in torus_diagonal(sys, f.ring, f.s)]
+    instead: lam times `group.torus_diagonal` of s, read as ring elements."""
+    return [f.lam * f.ring.elem(d) for d in torus_diagonal(sys, f.ring, f.s)]
 
 
 def reference_torus_diag(sys: RootSystem, f: FactoredElement) -> list:
@@ -163,7 +163,33 @@ def test_torus_diag_matches_reference(token, desc, seed):
     diag = torus_diag(sys, f)
     assert diag == reference_torus_diag(sys, f)
     assert compose(sys, dataclasses.replace(f, t=(ring.zero,) * sys.m, u=(ring.zero,) * sys.m)).mat \
-        == Mat.diagonal(ring, diag)
+        == Mat.diagonal(ring, [d.vec for d in diag])
+
+
+@pytest.mark.parametrize("token", ["A2", "D4", "E6"])
+def test_compose_returns_normal_form_word(token):
+    # the scalar, the l torus factors t_k(s_k), then the generators: the word
+    # compose assembled from its factors' elements
+    sys, ring = system(token), make_ring("trunc:3:3")
+    f = random_units_factored(sys, ring, random.Random(token))
+    want = (scalar_elem(sys, ring, f.lam).word + tuple(t_k(sys, ring, k, x).word[0] for k, x in enumerate(f.s))
+            + decompose._unipotent_word(sys, f))
+    assert decompose.normal_form_word(sys, f) == want
+    assert compose(sys, f).word == want
+
+
+@pytest.mark.parametrize("desc", TORUS_RINGS)
+@pytest.mark.parametrize("token", ["A2", "D4", "E6", "E7", "E8"])
+def test_inverse_torus_diag_matches_reference(token, desc):
+    # the first sweep's row scale and the last factor of each inverse word:
+    # the diagonal of the torus of lam^-1 and the inverted s
+    sys, ring = system(token), make_ring(desc)
+    rng = random.Random(f"{token}/{desc}")
+    for _ in range(3):
+        f = random_units_factored(sys, ring, rng)
+        inv = dataclasses.replace(f, lam=f.lam.inv(), s=tuple(x.inv() for x in f.s))
+        want = [d.vec for d in reference_torus_diag(sys, inv)]
+        assert decompose._inverse_torus_diag(sys, f.lam, f.s) == want
 
 
 @settings(max_examples=20, deadline=None)
@@ -190,7 +216,7 @@ def reference_compose_inverse_mat(sys: RootSystem, f: FactoredElement) -> Mat:
         t=(ring.zero,) * sys.m,
         u=(ring.zero,) * sys.m,
     )
-    return out @ Mat.diagonal(ring, torus_diag(sys, inv))
+    return out @ Mat.diagonal(ring, [d.vec for d in torus_diag(sys, inv)])
 
 
 @pytest.mark.parametrize("ring_desc", ["zmod:3^3", "trunc:3:3", "gf:7"])

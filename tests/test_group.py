@@ -1,4 +1,6 @@
 import random
+import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,13 +22,15 @@ from chevalley.group import (
     h_elem,
     scalar_elem,
     t_k,
+    torus_diagonal,
+    word_to_json,
     word_to_matrix,
     x_elem,
 )
 from chevalley.lie import StructureConstants, ad_x, ad_x_tables, h_index, root_index, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import Ring, RingError, make_ring
-from chevalley.roots import add, neg, system
+from chevalley.roots import add, build_root_system, neg, sub, system
 from chevalley.suites import suite_graph
 
 A2 = system("A2")
@@ -129,6 +133,99 @@ def test_t_k_matches_character_walk(token, desc):
         assert got.mat.factor[0] == "diag"
     with pytest.raises(RingError):
         t_k(sys, ring, sys.rank - 1, ring.random_radical(rng))
+
+
+@lru_cache(maxsize=None)
+def reference_root_splits(kind, rank):
+    """The deleted `group._root_splits`, verbatim: p -> (q, i) with
+    p = q + a_i and q a root, for every non-simple positive root p."""
+    sys = build_root_system(kind, rank)
+    return {p: next((sub(p, s), i) for i, s in enumerate(sys.simple) if p[i] and sys.is_root(sub(p, s)))
+            for p in sys.positive if p not in sys.simple}
+
+
+def reference_torus_diagonal(sys, ring, values):
+    """The deleted `group.torus_diagonal` walk on ring elements, verbatim."""
+    splits = reference_root_splits(sys.kind, sys.rank)
+    pairs = {s: (v, v.inv()) for s, v in zip(sys.simple, values)}
+    diag = []
+    for p in sys.positive:
+        if p not in pairs:
+            q, i = splits[p]
+            (v, w), (vi, wi) = pairs[q], pairs[sys.simple[i]]
+            pairs[p] = (v * vi, w * wi)
+        diag += pairs[p]
+    return diag + [ring.one] * sys.rank
+
+
+@lru_cache(maxsize=None)
+def reference_t_k_powers(kind, rank, k):
+    """The deleted `group._t_k_powers`, verbatim."""
+    sys = build_root_system(kind, rank)
+    return tuple(e for p in sys.positive for e in (p[k], -p[k])) + (0,) * rank
+
+
+def reference_power_table_t_k(sys, ring, k, x):
+    """The deleted body of `t_k`, verbatim but for the `.vec` that
+    `Mat.diagonal` now takes: the diagonal read from a table of the powers
+    of x and of x^-1."""
+    if not 0 <= k < sys.rank:
+        raise ValueError(f"simple-root index {k} out of range")
+    powers = reference_t_k_powers(sys.kind, sys.rank, k)
+    x_inv = x.inv()  # the unit check: RingError when x is no unit
+    table = {0: ring.one}
+    for e in range(1, max(powers) + 1):
+        table[e], table[-e] = table[e - 1] * x, table[1 - e] * x_inv
+    values = tuple(x if i == k else ring.one for i in range(sys.rank))
+    return GroupElement(sys, ring, Mat.diagonal(ring, [table[e].vec for e in powers]), (("h", values),))
+
+
+def sample_characters(sys, ring, rng):
+    """Characters on the simple roots: all values 1; one value other than 1
+    on each simple root in turn; general units; and general units with
+    every other value 1."""
+    one, l = ring.one, sys.rank
+    out = [(one,) * l]
+    out += [tuple(ring.random_unit(rng) if i == k else one for i in range(l)) for k in range(l)]
+    out += [tuple(ring.random_unit(rng) for _ in range(l)) for _ in range(3)]
+    out.append(tuple(ring.random_unit(rng) if i % 2 else one for i in range(l)))
+    return out
+
+
+@pytest.mark.parametrize("desc", TORUS_RINGS)
+@pytest.mark.parametrize("token", ["A2", "D4", "E6", "E7", "E8"])
+def test_torus_diagonal_matches_element_walk(token, desc):
+    sys, ring = system(token), make_ring(desc)
+    rng = random.Random(f"walk/{token}/{desc}")
+    for values in sample_characters(sys, ring, rng):
+        want = reference_torus_diagonal(sys, ring, values)
+        assert torus_diagonal(sys, ring, values) == [e.vec for e in want]
+        assert _char_mat(sys, ring, values) == Mat.diagonal(ring, [e.vec for e in want])
+    # a non-unit value: the same RingError, with the same message
+    values = tuple(ring.random_radical(rng) if i == sys.rank - 1 else ring.random_unit(rng)
+                   for i in range(sys.rank))
+    with pytest.raises(RingError) as want:
+        reference_torus_diagonal(sys, ring, values)
+    with pytest.raises(RingError, match=f"^{re.escape(str(want.value))}$"):
+        torus_diagonal(sys, ring, values)
+
+
+@pytest.mark.parametrize("desc", TORUS_RINGS)
+@pytest.mark.parametrize("token", ["A2", "D4", "E6", "E7", "E8"])
+def test_t_k_matches_power_table(token, desc):
+    sys, ring = system(token), make_ring(desc)
+    rng = random.Random(f"table/{token}/{desc}")
+    for k in range(sys.rank):
+        for x in (ring.random_unit(rng), ring.one):
+            got, want = t_k(sys, ring, k, x), reference_power_table_t_k(sys, ring, k, x)
+            assert got.word == want.word
+            assert got.mat.factor[0] == "diag"
+            assert np.array_equal(got.mat.factor[1], want.mat.factor[1])
+        x = ring.random_radical(rng)
+        with pytest.raises(RingError) as want:
+            reference_power_table_t_k(sys, ring, k, x)
+        with pytest.raises(RingError, match=f"^{re.escape(str(want.value))}$"):
+            t_k(sys, ring, k, x)
 
 
 @pytest.mark.parametrize("k", [-1, 2, 5])
@@ -298,7 +395,7 @@ def reference_factor_inverse(sys, ring, f):
         return GroupElement(sys, ring, _char_mat(sys, ring, vals), (("h", vals),))
     if f[0] == "scalar":
         lam = f[1].inv()
-        return GroupElement(sys, ring, Mat.diagonal(ring, [lam] * sys.n), (("scalar", lam),))
+        return GroupElement(sys, ring, Mat.diagonal(ring, [lam.vec] * sys.n), (("scalar", lam),))
     # signed permutation: the inverse is the transpose
     data = dict(f[2])
     data["inv"] = not f[2].get("inv")
@@ -314,7 +411,7 @@ def reference_inverse(g):
 
 def assert_same_element(g, h):
     assert g.mat == h.mat
-    assert g.word_to_json() == h.word_to_json()
+    assert word_to_json(g.ring, g.word) == word_to_json(h.ring, h.word)
     # and each permutation factor holds the same integer arrays
     perms = [[f[2] for f in e.word if f[0] == "perm"] for e in (g, h)]
     assert all(a["pi"] is b["pi"] and a["sigma"] is b["sigma"] for a, b in zip(*perms))
@@ -554,5 +651,5 @@ def test_matrix_json_round_trip():
     obj = g.mat.to_json()
     assert obj["ring"] == "zmod:3^4"
     assert Mat.from_json(Z81, obj) == g.mat
-    w = g.word_to_json()
+    w = word_to_json(g.ring, g.word)
     assert w[0]["kind"] == "x"

@@ -359,7 +359,7 @@ def test_diagonal_product_matches_reference(args):
     sys, ring = system(token), make_ring(desc)
     M = stack(ring, (sys.n, sys.n), seed, extreme)
     dvec = stack(ring, (1, sys.n), seed + 1, extreme)
-    D = Mat.diagonal(ring, [ring.elem(tuple(dvec[:, 0, j].tolist())) for j in range(sys.n)])
+    D = Mat.diagonal(ring, [tuple(dvec[:, 0, j].tolist()) for j in range(sys.n)])
     got = Mat(ring, M, reduce=False) @ D
     assert np.array_equal(got.data, reference(ring).mat_elemmul(M, dvec))
 

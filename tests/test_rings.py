@@ -7,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley.group import GroupElement, x_elem
-from chevalley.rings import ExtRing, RingError, adjoin_root, is_unit, make_ring, radical_member, residue
+from chevalley.rings import (
+    _MAX_MODULUS,
+    ExtRing,
+    RingError,
+    _is_prime,
+    adjoin_root,
+    is_unit,
+    make_ring,
+    radical_member,
+    residue,
+)
 from chevalley.roots import system
 
 
@@ -48,6 +58,40 @@ def test_make_ring_rejects_even_and_composite():
         make_ring("trunc:2:3")
     with pytest.raises(RingError):
         make_ring("nosuch:3")
+
+
+def reference_is_prime(n: int) -> bool:
+    """The deleted Miller-Rabin `rings._is_prime`, verbatim."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    # deterministic Miller-Rabin, valid far beyond any modulus used here
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_matches_miller_rabin():
+    # every n to 20,000, 3,000 random n below the modulus cap, and the last
+    # 1,000 up to the cap
+    rng = random.Random(11)
+    ns = list(range(20_001)) + [rng.randrange(_MAX_MODULUS) for _ in range(3000)]
+    ns += list(range(_MAX_MODULUS - 1000, _MAX_MODULUS + 1))
+    assert [n for n in ns if _is_prime(n) != reference_is_prime(n)] == []
 
 
 def test_unit_xor_radical_exhaustive():

@@ -247,6 +247,20 @@ def test_a_systems_have_no_exceptions(token):
     assert marked_sequence(system(token)).exceptions == ()
 
 
+def reference_a_chain(sys):
+    """The deleted `roots._a_chain`, verbatim."""
+    l = sys.rank
+    return [tuple(1 if j >= i else 0 for j in range(l)) for i in range(l)]
+
+
+@pytest.mark.parametrize("rank", range(2, 13))
+def test_a_chain_is_the_greedy_chain(rank):
+    # A_l takes the depth-first chain, which is the displayed one:
+    # e_1 - e_{l+1} down to alpha_l, one simple root at a time
+    sys = system(f"A{rank}")
+    assert list(marked_sequence(sys).gammas) == reference_a_chain(sys)
+
+
 @pytest.mark.parametrize("token,expected", [
     # the displayed chains leave exactly e1-e_l and e2+e_l unclassified
     ("D4", {(1, 1, 1, 0), (0, 1, 0, 1)}),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chevalley import standardize
 from chevalley.decompose import RecoveryError, _solve_cells, compose, designated_positions
-from chevalley.group import GroupElement, congruence_member, graph_matrix, word_to_matrix, x_elem
+from chevalley.group import GroupElement, congruence_member, graph_matrix, word_to_json, word_to_matrix, x_elem
 from chevalley.lie import ad_x, structure_constants, t_matrix
 from chevalley.matrices import Mat
 from chevalley.rings import make_ring
@@ -435,7 +435,7 @@ def reference_certificate(sys, C, delta, residue_word):
         return Certificate("nonstandard-or-outside-scope", delta, None, False)
     ok = resid.is_identity()
     return Certificate("standard" if ok else "nonstandard-or-outside-scope", delta,
-                       D.word_to_json() if ok else None, ok)
+                       word_to_json(ring, D.word) if ok else None, ok)
 
 
 @pytest.mark.parametrize("desc", ["zmod:3^3", "trunc:3:3"])

@@ -1,8 +1,9 @@
 """Structured products must equal the dense ring kernel exactly.
 
 `Mat.__matmul__` applies a right operand built by `x_elem` as a sparse column
-update and one built by `Mat.diagonal` as a column scaling; a diagonal on the
-left scales the rows, and two diagonals multiply entrywise.  Here each is
+update and one built by `Mat.diagonal` as a column scaling; two diagonals
+multiply entrywise, and a diagonal on the left of any other matrix is a
+dense operand.  Here each is
 compared with `Ring.mat_mul` on the same data, for every ring kind, including
 a prime modulus at the top of the int64-exact range.  A generator or a
 diagonal forms its dense matrix only when it is read; that matrix is checked
@@ -75,7 +76,7 @@ def test_generator_product_equals_dense(args):
 def test_diagonal_product_equals_dense(args):
     token, desc, seed, _ = args
     sys, ring = system(token), make_ring(desc)
-    D = Mat.diagonal(ring, random_diagonal_elems(ring, sys.n, seed + 1))
+    D = Mat.diagonal(ring, [e.vec for e in random_diagonal_elems(ring, sys.n, seed + 1)])
     M = random_mat(ring, sys.n, seed)
     assert D.factor is not None
     assert M @ D == dense(M, D)
@@ -89,7 +90,7 @@ def test_row_stack_products_are_rows_of_square_products(token, desc):
     sys, ring = system(token), make_ring(desc)
     M, B = random_mat(ring, sys.n, 61), random_mat(ring, sys.n, 62)
     t = random_mat(ring, 1, 63).get(0, 0)
-    D = Mat.diagonal(ring, random_diagonal_elems(ring, sys.n, 64))
+    D = Mat.diagonal(ring, [e.vec for e in random_diagonal_elems(ring, sys.n, 64)])
     for rows in ([0, 2, sys.n - 1], [sys.n - 1, 1, 1]):
         R = Mat(ring, M.data[:, rows], reduce=False)
         assert R.n == sys.n
@@ -113,7 +114,7 @@ def test_extreme_entries_stay_exact(desc):
     for root in (sys.maximal, sys.simple[0], tuple(-c for c in sys.maximal)):
         X = x_elem(sys, ring, root, minus_one).mat
         assert M @ X == dense(M, X)
-    D = Mat.diagonal(ring, [minus_one] * sys.n)
+    D = Mat.diagonal(ring, [minus_one.vec] * sys.n)
     assert M @ D == dense(M, D)
 
 
@@ -135,7 +136,7 @@ def test_size_mismatch_raises():
     with pytest.raises(RingError):
         M @ x_elem(a2, ring, a2.maximal, ring.one).mat
     with pytest.raises(RingError):
-        M @ Mat.diagonal(ring, [ring.one] * a2.n)
+        M @ Mat.diagonal(ring, [ring.one.vec] * a2.n)
     with pytest.raises(RingError):
         M @ Mat.identity(ring, a2.n)
     table, _ = ad_x_tables(a2, structure_constants(a2), a2.maximal)
@@ -155,7 +156,7 @@ def test_ring_mismatch_raises():
 def test_only_generator_and_diagonal_constructors_carry_a_factor():
     sys, ring = system("A2"), make_ring("trunc:3:3")
     X = x_elem(sys, ring, sys.maximal, ring.one).mat
-    D = Mat.diagonal(ring, [ring.one] * sys.n)
+    D = Mat.diagonal(ring, [ring.one.vec] * sys.n)
     for M in (X @ X, Mat(ring, X.data + D.data), X.with_entry(0, 0, ring.one), Mat.from_json(ring, X.to_json()),
               Mat.identity(ring, sys.n)):
         assert M.factor is None
@@ -323,7 +324,7 @@ def reference_diagonal_data(ring, elems):
 def test_lazy_diagonal_data_equals_dense_scatter(token, desc, seed):
     sys, ring = system(token), make_ring(desc)
     elems = random_diagonal_elems(ring, sys.n, seed)
-    D = Mat.diagonal(ring, elems)
+    D = Mat.diagonal(ring, [e.vec for e in elems])
     pi, m = D.monomial()
     assert D._data is None
     assert np.array_equal(pi, np.arange(sys.n)) and np.array_equal(m, np.array([x.vec for x in elems]).T)
@@ -342,14 +343,15 @@ def test_diagonal_on_the_left_equals_dense(token, desc, seed, pick):
     sys, ring = system(token), make_ring(desc)
     d, e = random_diagonal_elems(ring, sys.n, seed), random_diagonal_elems(ring, sys.n, seed + 1)
     ref = reference_diagonal_data(ring, d)
+    D, E = Mat.diagonal(ring, [x.vec for x in d]), Mat.diagonal(ring, [x.vec for x in e])
     M = random_mat(ring, sys.n, seed + 2)
     X = x_elem(sys, ring, sys.roots[pick % len(sys.roots)], random_mat(ring, 1, seed + 3).get(0, 0)).mat
 
-    DE = Mat.diagonal(ring, d) @ Mat.diagonal(ring, e)
+    DE = D @ E
     assert DE.factor[0] == "diag" and DE._data is None
     assert DE == Mat(ring, ring.mat_mul(ref, reference_diagonal_data(ring, e)))
-    assert Mat.diagonal(ring, d) @ M == Mat(ring, ring.mat_mul(ref, M.data))
-    assert Mat.diagonal(ring, d) @ X == Mat(ring, ring.mat_mul(ref, X.data))
+    assert D @ M == Mat(ring, ring.mat_mul(ref, M.data))
+    assert D @ X == Mat(ring, ring.mat_mul(ref, X.data))
 
 
 @settings(max_examples=40, deadline=None)
