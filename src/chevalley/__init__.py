@@ -18,8 +18,6 @@ from .group import (
     graph_matrix,
     h_alpha,
     h_elem,
-    scalar_elem,
-    t_k,
     x_elem,
 )
 from .lie import ad_x, structure_constants, t_matrix
@@ -84,12 +82,10 @@ __all__ = [
     "radical_member",
     "recover",
     "residue",
-    "scalar_elem",
     "standardness_certificate",
     "structure_constants",
     "sum_decomposition",
     "system",
-    "t_k",
     "t_matrix",
     "verify_lift",
     "verify_marked_properties",

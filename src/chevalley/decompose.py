@@ -32,7 +32,6 @@ from .group import (
     inverse_word,
     torus_diagonal,
     word_to_matrix,
-    x_elem,
 )
 from .lie import ad_x_tables, h_index, root_index, structure_constants
 from .matrices import Mat
@@ -101,20 +100,15 @@ class FactoredElement:
 
 
 def compose(sys: RootSystem, f: FactoredElement) -> GroupElement:
-    """Multiply out the normal form exactly: the matrices of
-    `normal_form_word`'s factors, the scalar times the l torus factors,
-    then each generator."""
-    ring = f.ring
+    """Multiply out the normal form exactly: the element of
+    `normal_form_word`, the scalar times the l torus factors, then each
+    generator."""
     if (len(f.s), len(f.t), len(f.u)) != (sys.rank, sys.m, sys.m):
         raise RingError(f"{sys.name} takes {sys.rank} torus and {sys.m} + {sys.m} unipotent parameters, "
                         f"not {len(f.s)} and {len(f.t)} + {len(f.u)}")
     if not is_unit(f.lam) or not all(is_unit(x) for x in f.s):
         raise RingError("lambda and the torus parameters must be units")
-    word = normal_form_word(sys, f)
-    mat = word_to_matrix(sys, ring, word[: sys.rank + 1])
-    for _, r, t in word[sys.rank + 1:]:
-        mat = mat @ x_elem(sys, ring, r, t).mat
-    return GroupElement(sys, ring, mat, word)
+    return GroupElement.from_word(sys, f.ring, normal_form_word(sys, f))
 
 
 def normal_form_word(sys: RootSystem, f: FactoredElement) -> tuple[Factor, ...]:

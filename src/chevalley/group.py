@@ -3,8 +3,14 @@
 Elements carry an exact matrix plus, when they were built from generators, a
 word of tagged factors (unipotent, torus, scalar, diagram) that multiplies
 out to the matrix.  Words serialize to JSON and make inverses cheap: a word
-is inverted as data (`inverse_word`), each factor by the rule of its kind,
-and `_factor_matrix` is the one place a factor's matrix is built.
+is inverted as data (`inverse_word`), each factor by the rule of its kind.
+`GroupElement.from_word` is where a word becomes an element: its matrix is
+`word_to_matrix` of the word, and `_factor_matrix` is the one place a
+factor's matrix is built.  The generator x_r(t) = I + t X + t^2 H is built
+by `x_elem` alone, and `_factor_matrix` reads an x factor's matrix from it,
+not the other way round: so every generator that `compose` or a recovery
+sweep multiplies out is one call of the public `x_elem`, the layer at which
+the benchmark's tracer times generators and counts 2m of them per compose.
 
 The commutator law [x_a(t), x_b(u)] = x_{a+b}(N(a,b) t u) is checked as the
 word x_a(t) x_b(u) x_a(-t) x_b(-u) x_{a+b}(-N t u) = I (no last factor when
@@ -39,8 +45,15 @@ class GroupElement:
         self.word = word
 
     @classmethod
+    def from_word(cls, sys: RootSystem, ring: Ring, word) -> "GroupElement":
+        """The element of `word`, its matrix `word_to_matrix` of the word;
+        RingError when a torus value or a scalar is no unit."""
+        word = tuple(word)
+        return cls(sys, ring, word_to_matrix(sys, ring, word), word)
+
+    @classmethod
     def identity(cls, sys: RootSystem, ring: Ring) -> "GroupElement":
-        return cls(sys, ring, Mat.identity(ring, sys.n), ())
+        return cls.from_word(sys, ring, ())
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         word = None
@@ -62,8 +75,7 @@ class GroupElement:
         no word."""
         if self.word is None:
             raise RingError("element has no generator word")
-        word = inverse_word(self.word)
-        return GroupElement(self.sys, self.ring, word_to_matrix(self.sys, self.ring, word), word)
+        return GroupElement.from_word(self.sys, self.ring, inverse_word(self.word))
 
     def __repr__(self) -> str:
         w = "?" if self.word is None else len(self.word)
@@ -87,10 +99,12 @@ def word_to_json(ring: Ring, word) -> list:
 
 def _factor_matrix(sys: RootSystem, ring: Ring, f: Factor) -> Mat:
     if f[0] == "x":
-        return _x_mat(sys, ring, f[1], f[2])
+        return x_elem(sys, ring, f[1], f[2]).mat
     if f[0] == "h":
-        return _char_mat(sys, ring, f[1])
+        return Mat.diagonal(ring, torus_diagonal(sys, ring, f[1]))
     if f[0] == "scalar":
+        if not ring.is_unit_vec(f[1].vec):
+            raise RingError("scalar factor must be a unit")
         return Mat.diagonal(ring, [f[1].vec] * sys.n)
     # sigma[j] at (pi[j], j), or at (j, pi[j]) for the transpose
     at = (f[2]["pi"], np.arange(sys.n))
@@ -133,16 +147,12 @@ def word_to_matrix(sys: RootSystem, ring: Ring, word, rows=None) -> Mat:
 # ---------------------------------------------------------------------------
 
 
-def _x_mat(sys: RootSystem, ring: Ring, r: Root, t: RingElem) -> Mat:
-    X, H = ad_x_tables(sys, structure_constants(sys), r)
-    return Mat.unipotent(ring, sys.n, ((X, t), (H, t * t)))
-
-
 def x_elem(sys: RootSystem, ring: Ring, r: Root, t: RingElem) -> GroupElement:
     """Exponential of t x_r: the series I + t X + t^2 H of `ad_x_tables`
     stops at degree two on the adjoint module."""
     r = tuple(r)
-    return GroupElement(sys, ring, _x_mat(sys, ring, r, t), (("x", r, t),))
+    X, H = ad_x_tables(sys, structure_constants(sys), r)
+    return GroupElement(sys, ring, Mat.unipotent(ring, sys.n, ((X, t), (H, t * t))), (("x", r, t),))
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +211,9 @@ def torus_diagonal(sys: RootSystem, ring: Ring, values: tuple[RingElem, ...]) ->
     return list(chain.from_iterable(pairs)) + [one] * sys.rank
 
 
-def _char_mat(sys: RootSystem, ring: Ring, values: tuple[RingElem, ...]) -> Mat:
-    return Mat.diagonal(ring, torus_diagonal(sys, ring, values))
-
-
 def h_elem(sys: RootSystem, chi: Character) -> GroupElement:
     """Diagonal torus element acting on each root position by chi(root)."""
-    ring = chi.ring
-    return GroupElement(sys, ring, _char_mat(sys, ring, chi.values), (("h", chi.values),))
+    return GroupElement.from_word(sys, chi.ring, (("h", chi.values),))
 
 
 def h_alpha_values(sys: RootSystem, alpha: Root, u: RingElem) -> tuple[RingElem, ...]:
@@ -219,21 +224,6 @@ def h_alpha_values(sys: RootSystem, alpha: Root, u: RingElem) -> tuple[RingElem,
 def h_alpha(sys: RootSystem, ring: Ring, alpha: Root, u: RingElem) -> GroupElement:
     """h_alpha(u), the torus element of `h_alpha_values`."""
     return h_elem(sys, Character(ring, h_alpha_values(sys, alpha, u)))
-
-
-def t_k(sys: RootSystem, ring: Ring, k: int, x: RingElem) -> GroupElement:
-    """Torus element whose character is x on alpha_k and 1 on the other
-    simples; RingError when x is no unit."""
-    if not 0 <= k < sys.rank:
-        raise ValueError(f"simple-root index {k} out of range")
-    values = tuple(x if i == k else ring.one for i in range(sys.rank))
-    return GroupElement(sys, ring, _char_mat(sys, ring, values), (("h", values),))
-
-
-def scalar_elem(sys: RootSystem, ring: Ring, lam: RingElem) -> GroupElement:
-    if not ring.is_unit_vec(lam.vec):
-        raise RingError("scalar factor must be a unit")
-    return GroupElement(sys, ring, Mat.diagonal(ring, [lam.vec] * sys.n), (("scalar", lam),))
 
 
 # ---------------------------------------------------------------------------
@@ -416,5 +406,4 @@ def graph_matrix(sys: RootSystem, ring: Ring, delta: str | tuple[int, ...]) -> G
     else:
         name, perm = "custom", tuple(delta)
     pi, sigma = _graph_signed_perm(sys.kind, sys.rank, perm)
-    word = (("perm", name, {"pi": pi, "sigma": sigma, "inv": False}),)
-    return GroupElement(sys, ring, _factor_matrix(sys, ring, word[0]), word)
+    return GroupElement.from_word(sys, ring, (("perm", name, {"pi": pi, "sigma": sigma, "inv": False}),))

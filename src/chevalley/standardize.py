@@ -9,6 +9,10 @@ over the residue field, with the n + 1 designated cells of Z frozen to zero
 and each block's own-root unipotent coefficient omitted (it is absorbed by
 the x_e(1) factor).  A trivial kernel pins the normalizer down to the group
 itself, which the certificate pipeline then witnesses element by element.
+
+Each x_e(1) is built over F_p itself, as `x_elem` over the ring gf:p (the
+equations are only ever read mod p), so p must be an odd prime: any other
+p is refused with RingError by `make_ring`.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import RecoveryError, designated_positions, normal_form_word, recover
-from .group import GroupElement, congruence_member, graph_matrix, inverse_word, word_to_json, word_to_matrix
-from .lie import SparseColumns, ad_x, ad_x_tables, structure_constants, t_matrix
-from .rings import RingError
+from .group import GroupElement, congruence_member, graph_matrix, inverse_word, word_to_json, x_elem
+from .lie import SparseColumns, ad_x_tables, structure_constants, t_matrix
+from .rings import RingError, make_ring
 from .roots import RootSystem, neg
 
 
@@ -38,12 +42,6 @@ class LinSystem:
     @property
     def unknowns(self) -> int:
         return self.z_unknowns + self.abc_unknowns
-
-
-def _x_unit_int(sys: RootSystem, r) -> np.ndarray:
-    """x_r(1) = I + X + H over the integers, from the tables of `ad_x_tables`."""
-    N = structure_constants(sys)
-    return np.eye(sys.n, dtype=np.int64) + ad_x(sys, N, r) + ad_x_tables(sys, N, r)[1].dense()
 
 
 def _coo(rows, cols, vals, p: int) -> np.ndarray:
@@ -87,6 +85,7 @@ def _commutator_entries(xe: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def build_linearized_system(sys: RootSystem, p: int) -> LinSystem:
     """Blocks for the simple roots and their negatives, with designated zeros."""
+    field = make_ring(f"gf:{p}")
     table = designated_positions(sys)
     n = sys.n
     zeros = table.cell_set()
@@ -107,7 +106,7 @@ def build_linearized_system(sys: RootSystem, p: int) -> LinSystem:
     off = z_cols
     for bi, e in enumerate(blocks):
         base = bi * n * n
-        xe = _x_unit_int(sys, e)
+        xe = x_elem(sys, field, e, field.one).mat.data[0]
         eq, cell, v = _commutator_entries(xe)
         kept = column[cell] >= 0
         rows.append(base + eq[kept])
@@ -140,10 +139,10 @@ def build_commutation_system(sys: RootSystem, p: int) -> LinSystem:
     Each block's rows lie in a range of their own, above the block before,
     so the blocks are made canonical one at a time and concatenated: only
     one block's raw entries are held at once."""
-    n = sys.n
+    field, n = make_ring(f"gf:{p}"), sys.n
     blocks = []
     for bi, r in enumerate(sys.roots):
-        eq, cell, v = _commutator_entries(_x_unit_int(sys, r))
+        eq, cell, v = _commutator_entries(x_elem(sys, field, r, field.one).mat.data[0])
         blocks.append(_coo(bi * n * n + eq, cell, v, p))
     return LinSystem(
         system=sys.name,
@@ -284,7 +283,7 @@ def standardness_certificate(
     work = C
     if delta is not None or residue_word is not None:
         word = inverse_word(graph_matrix(sys, ring, delta or "identity").word + tuple(residue_word or ()))
-        work = GroupElement(sys, ring, word_to_matrix(sys, ring, word), word) @ C
+        work = GroupElement.from_word(sys, ring, word) @ C
     f = None
     if congruence_member(work):
         try:

@@ -20,7 +20,6 @@ from .group import (
     diagram_automorphisms,
     graph_matrix,
     h_elem,
-    word_to_matrix,
 )
 from .lie import jacobi_defect, structure_constants
 from .matrices import Mat
@@ -234,8 +233,7 @@ def suite_graph(system_token: str, ring_desc: str) -> dict:
         while q != tuple(range(sys.rank)):
             q, pi, sigma = tuple(perm[i] for i in q), f["pi"][pi], f["sigma"][pi] * sigma
             order += 1
-        word = (("perm", name, {"pi": pi, "sigma": sigma, "inv": False}),)
-        power = GroupElement(sys, ring, word_to_matrix(sys, ring, word), word)
+        power = GroupElement.from_word(sys, ring, (("perm", name, {"pi": pi, "sigma": sigma, "inv": False}),))
         total += 1
         if not all(conjugation_holds(sys, power.mat, power.inverse().mat, sys.simple, ones[:sys.rank],
                                      sys.simple, ones[:sys.rank])):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley import decompose
+from chevalley import decompose, group
 from chevalley.decompose import (
     EntryFormula,
     FactoredElement,
@@ -16,10 +16,10 @@ from chevalley.decompose import (
     entry_formula,
     recover,
 )
-from chevalley.group import GroupElement, _x_mat, scalar_elem, t_k, torus_diagonal, x_elem
+from chevalley.group import Character, GroupElement, h_elem, torus_diagonal, word_to_matrix, x_elem
 from chevalley.lie import ad_x, h_index, root_index, structure_constants
 from chevalley.matrices import Mat
-from chevalley.rings import RingError, is_unit, make_ring
+from chevalley.rings import Ring, RingError, is_unit, make_ring
 from chevalley.roots import Root, RootSystem, add, neg, system
 from chevalley.suites import eq3_element, random_factored
 from test_standardize import gauge_reference
@@ -46,8 +46,6 @@ def test_compose_word_multiplies_out():
     rng = random.Random(0)
     f = random_factored(A2, Z81, rng)
     g = compose(A2, f)
-    from chevalley.group import word_to_matrix
-
     assert word_to_matrix(A2, Z81, g.word) == g.mat
 
 
@@ -168,14 +166,76 @@ def test_torus_diag_matches_reference(token, desc, seed):
 
 @pytest.mark.parametrize("token", ["A2", "D4", "E6"])
 def test_compose_returns_normal_form_word(token):
-    # the scalar, the l torus factors t_k(s_k), then the generators: the word
-    # compose assembled from its factors' elements
+    # the scalar, the l torus factors t_k(s_k), then the generators: the
+    # word of the scalar, of each one-value character's `h_elem` and of the
+    # generators
     sys, ring = system(token), make_ring("trunc:3:3")
     f = random_units_factored(sys, ring, random.Random(token))
-    want = (scalar_elem(sys, ring, f.lam).word + tuple(t_k(sys, ring, k, x).word[0] for k, x in enumerate(f.s))
-            + decompose._unipotent_word(sys, f))
+    one = ring.one
+    torus = tuple(h_elem(sys, Character(ring, tuple(x if i == k else one for i in range(sys.rank)))).word[0]
+                  for k, x in enumerate(f.s))
+    want = (("scalar", f.lam),) + torus + decompose._unipotent_word(sys, f)
     assert decompose.normal_form_word(sys, f) == want
     assert compose(sys, f).word == want
+
+
+def reference_compose(sys: RootSystem, f: FactoredElement) -> GroupElement:
+    """The two-stage compose body, verbatim: the scalar and torus factors
+    of `normal_form_word` through `word_to_matrix`, then each generator's
+    `x_elem` matrix multiplied on one by one."""
+    ring = f.ring
+    if (len(f.s), len(f.t), len(f.u)) != (sys.rank, sys.m, sys.m):
+        raise RingError(f"{sys.name} takes {sys.rank} torus and {sys.m} + {sys.m} unipotent parameters, "
+                        f"not {len(f.s)} and {len(f.t)} + {len(f.u)}")
+    if not is_unit(f.lam) or not all(is_unit(x) for x in f.s):
+        raise RingError("lambda and the torus parameters must be units")
+    word = decompose.normal_form_word(sys, f)
+    mat = word_to_matrix(sys, ring, word[: sys.rank + 1])
+    for _, r, t in word[sys.rank + 1:]:
+        mat = mat @ x_elem(sys, ring, r, t).mat
+    return GroupElement(sys, ring, mat, word)
+
+
+def counted_calls(monkeypatch, fn, *args):
+    """fn(*args) and the numbers of `Mat.__matmul__`, `group.x_elem` and
+    `Ring.mat_mul` calls it made."""
+    counts = {"matmul": 0, "x_elem": 0, "mat_mul": 0}
+
+    def counting(name, inner):
+        def call(*a):
+            counts[name] += 1
+            return inner(*a)
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Mat, "__matmul__", counting("matmul", Mat.__matmul__))
+        patch.setattr(group, "x_elem", counting("x_elem", group.x_elem))
+        patch.setattr(Ring, "mat_mul", counting("mat_mul", Ring.mat_mul))
+        result = fn(*args)
+    return result, counts
+
+
+@pytest.mark.parametrize("desc", TORUS_RINGS)
+@pytest.mark.parametrize("token", ["A2", "D4", "E6"])
+def test_compose_matches_the_two_stage_reference(token, desc, monkeypatch):
+    # one word_to_matrix of the whole word: the same entries and word, from
+    # rank + 2m products onto the scalar, one x_elem per generator and no
+    # dense ring matmul
+    sys, ring = system(token), make_ring(desc)
+    f = random_units_factored(sys, ring, random.Random(f"compose/{token}/{desc}"))
+    got, counts = counted_calls(monkeypatch, compose, sys, f)
+    want = reference_compose(sys, f)
+    assert np.array_equal(got.mat.data, want.mat.data)
+    assert got.word == want.word
+    assert counts == {"matmul": sys.rank + 2 * sys.m, "x_elem": 2 * sys.m, "mat_mul": 0}
+
+
+def test_compose_refuses_a_non_unit_lambda_or_torus_parameter():
+    f = random_factored(A2, Z81, random.Random(53))
+    three = Z81.from_int(3)
+    for bad in (dataclasses.replace(f, lam=three), dataclasses.replace(f, s=(f.s[0], three))):
+        with pytest.raises(RingError, match="must be units"):
+            compose(A2, bad)
 
 
 @pytest.mark.parametrize("desc", TORUS_RINGS)
@@ -206,9 +266,9 @@ def reference_compose_inverse_mat(sys: RootSystem, f: FactoredElement) -> Mat:
     ring = f.ring
     out = Mat.identity(ring, sys.n)
     for i in reversed(range(sys.m)):
-        out = out @ _x_mat(sys, ring, neg(sys.positive[i]), -f.u[i])
+        out = out @ x_elem(sys, ring, neg(sys.positive[i]), -f.u[i]).mat
     for i in reversed(range(sys.m)):
-        out = out @ _x_mat(sys, ring, sys.positive[i], -f.t[i])
+        out = out @ x_elem(sys, ring, sys.positive[i], -f.t[i]).mat
     inv = FactoredElement(
         ring=ring,
         lam=f.lam.inv(),

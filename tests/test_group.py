@@ -9,9 +9,7 @@ from chevalley import group, lie
 from chevalley.group import (
     Character,
     GroupElement,
-    _char_mat,
     _factor_matrix,
-    _x_mat,
     apply_diagram,
     check_torus_conjugation,
     commutator_check,
@@ -20,8 +18,6 @@ from chevalley.group import (
     graph_matrix,
     h_alpha,
     h_elem,
-    scalar_elem,
-    t_k,
     torus_diagonal,
     word_to_json,
     word_to_matrix,
@@ -59,6 +55,18 @@ def test_x_elem_cartan_entry():
 def test_torus_trivial_character():
     chi = Character(Z81, (Z81.one, Z81.one))
     assert h_elem(A2, chi).is_identity()
+
+
+def t_k(sys, ring, k, x):
+    """t_k(x), the normal form's torus factor: the element of the one-factor
+    word ("h", values) whose character is x on alpha_k and 1 on the other
+    simples."""
+    return GroupElement.from_word(sys, ring, (("h", tuple(x if i == k else ring.one for i in range(sys.rank))),))
+
+
+def scalar(sys, ring, lam):
+    """The element of the one-factor word ("scalar", lam)."""
+    return GroupElement.from_word(sys, ring, (("scalar", lam),))
 
 
 def test_torus_diagonal_values():
@@ -200,7 +208,7 @@ def test_torus_diagonal_matches_element_walk(token, desc):
     for values in sample_characters(sys, ring, rng):
         want = reference_torus_diagonal(sys, ring, values)
         assert torus_diagonal(sys, ring, values) == [e.vec for e in want]
-        assert _char_mat(sys, ring, values) == Mat.diagonal(ring, [e.vec for e in want])
+        assert _factor_matrix(sys, ring, ("h", values)) == Mat.diagonal(ring, [e.vec for e in want])
     # a non-unit value: the same RingError, with the same message
     values = tuple(ring.random_radical(rng) if i == sys.rank - 1 else ring.random_unit(rng)
                    for i in range(sys.rank))
@@ -226,13 +234,6 @@ def test_t_k_matches_power_table(token, desc):
             reference_power_table_t_k(sys, ring, k, x)
         with pytest.raises(RingError, match=f"^{re.escape(str(want.value))}$"):
             t_k(sys, ring, k, x)
-
-
-@pytest.mark.parametrize("k", [-1, 2, 5])
-def test_t_k_rejects_an_index_out_of_range(k):
-    ring = make_ring("zmod:3^3")
-    with pytest.raises(ValueError, match="out of range"):
-        t_k(A2, ring, k, ring.from_int(2))
 
 
 def commutator(g, h):
@@ -379,7 +380,7 @@ def test_word_matrix_consistency_random_words():
             elif kind == 1:
                 g = g @ h_elem(sys, Character(ring, tuple(ring.random_unit(rng) for _ in range(sys.rank))))
             else:
-                g = g @ scalar_elem(sys, ring, ring.random_unit(rng))
+                g = g @ scalar(sys, ring, ring.random_unit(rng))
         assert word_to_matrix(sys, ring, g.word) == g.mat
         assert (g @ g.inverse()).is_identity()
         assert_same_element(g.inverse(), reference_inverse(g))
@@ -389,10 +390,10 @@ def reference_factor_inverse(sys, ring, f):
     """One factor's inverse as an element of its own, its matrix built beside
     `_factor_matrix`: the rule before words were inverted as data."""
     if f[0] == "x":
-        return GroupElement(sys, ring, _x_mat(sys, ring, f[1], -f[2]), (("x", f[1], -f[2]),))
+        return GroupElement(sys, ring, x_elem(sys, ring, f[1], -f[2]).mat, (("x", f[1], -f[2]),))
     if f[0] == "h":
         vals = tuple(v.inv() for v in f[1])
-        return GroupElement(sys, ring, _char_mat(sys, ring, vals), (("h", vals),))
+        return GroupElement(sys, ring, Mat.diagonal(ring, torus_diagonal(sys, ring, vals)), (("h", vals),))
     if f[0] == "scalar":
         lam = f[1].inv()
         return GroupElement(sys, ring, Mat.diagonal(ring, [lam.vec] * sys.n), (("scalar", lam),))
@@ -433,7 +434,7 @@ def test_inverse_word_matches_the_factor_by_factor_reference(token, name, desc):
             elif kind == 1:
                 g = g @ h_elem(sys, Character(ring, tuple(ring.random_unit(rng) for _ in range(sys.rank))))
             elif kind == 2:
-                g = g @ scalar_elem(sys, ring, ring.random_unit(rng))
+                g = g @ scalar(sys, ring, ring.random_unit(rng))
             else:
                 g = g @ (A if kind == 3 else reference_inverse(A))
         assert_same_element(g.inverse(), reference_inverse(g))
@@ -448,13 +449,15 @@ def test_wordless_inverse_is_refused():
 
 
 def one_factor_elements(sys, ring, rng):
-    """(element, factor kind) for one element of each one-factor constructor."""
+    """(element, factor kind) for one element of each one-factor word kind
+    but the diagram one, the torus kind with one value and with general
+    values."""
     root = sys.roots[rng.randrange(len(sys.roots))]
     return [
         (x_elem(sys, ring, root, ring.random_element(rng)), "unipotent"),
         (t_k(sys, ring, rng.randrange(sys.rank), ring.random_unit(rng)), "diag"),
         (h_elem(sys, Character(ring, tuple(ring.random_unit(rng) for _ in range(sys.rank)))), "diag"),
-        (scalar_elem(sys, ring, ring.random_unit(rng)), "diag"),
+        (scalar(sys, ring, ring.random_unit(rng)), "diag"),
     ]
 
 
@@ -477,10 +480,14 @@ def test_one_factor_inverse_keeps_its_factor(token, desc):
 def test_scalar_elements():
     rng = random.Random(9)
     lam = Z81.random_unit(rng)
-    g = scalar_elem(A2, Z81, lam)
+    g = scalar(A2, Z81, lam)
     assert g.mat.get(0, 0) == lam
-    with pytest.raises(RingError):
-        scalar_elem(A2, Z81, Z81.from_int(3))
+    assert g.mat == Mat.diagonal(Z81, [lam.vec] * A2.n)
+    # a non-unit scalar is refused by the word's matrix, as scalar_elem refused it
+    with pytest.raises(RingError, match="scalar factor must be a unit"):
+        scalar(A2, Z81, Z81.from_int(3))
+    with pytest.raises(RingError, match="scalar factor must be a unit"):
+        word_to_matrix(A2, Z81, (("x", A2.simple[0], lam), ("scalar", Z81.zero)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from chevalley import standardize
 from chevalley.decompose import RecoveryError, _solve_cells, compose, designated_positions
 from chevalley.group import GroupElement, congruence_member, graph_matrix, word_to_json, word_to_matrix, x_elem
-from chevalley.lie import ad_x, structure_constants, t_matrix
+from chevalley.lie import SparseColumns, ad_x, ad_x_tables, structure_constants, t_matrix
 from chevalley.matrices import Mat
-from chevalley.rings import make_ring
+from chevalley.rings import RingError, make_ring
 from chevalley.roots import neg, system
 from chevalley.standardize import (
     Certificate,
@@ -226,18 +226,82 @@ def test_commutation_control_kernel_is_scalars(p):
         assert n * n - dense_rank_mod_p(M, p) == 1
 
 
+def reference_x_unit_int(sys, r) -> np.ndarray:
+    """The deleted `standardize._x_unit_int`, verbatim: x_r(1) = I + X + H
+    over the integers, from the tables of `ad_x_tables`."""
+    N = structure_constants(sys)
+    return np.eye(sys.n, dtype=np.int64) + ad_x(sys, N, r) + ad_x_tables(sys, N, r)[1].dense()
+
+
 def reference_commutation_coo(sys, p) -> np.ndarray:
     """The control COO as `build_commutation_system` made it before it made
-    each block canonical on its own: every block's raw entries concatenated,
-    then one `_coo` over the whole concatenation."""
+    each block canonical on its own, and with x_r(1) over the integers:
+    every block's raw entries concatenated, then one `_coo` over the whole
+    concatenation."""
     n = sys.n
     rows, cols, vals = [], [], []
     for bi, r in enumerate(sys.roots):
-        eq, cell, v = standardize._commutator_entries(standardize._x_unit_int(sys, r))
+        eq, cell, v = standardize._commutator_entries(reference_x_unit_int(sys, r))
         rows.append(bi * n * n + eq)
         cols.append(cell)
         vals.append(v)
     return standardize._coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), p)
+
+
+def reference_linearized_coo(sys, p) -> np.ndarray:
+    """The normalizer COO of `build_linearized_system`, its body verbatim
+    from when each block's x_e(1) was `reference_x_unit_int` over the
+    integers."""
+    table = designated_positions(sys)
+    n = sys.n
+    zeros = table.cell_set()
+    keep = np.array([i * n + j for i in range(n) for j in range(n) if (i, j) not in zeros])
+    z_cols = len(keep)
+    column = np.full(n * n, -1, dtype=np.int64)
+    column[keep] = np.arange(z_cols)
+    N = structure_constants(sys)
+    torus = [SparseColumns(n, [(c, c, int(d)) for c, d in enumerate(t_matrix(sys, i).diagonal())])
+             for i in range(sys.rank)]
+    gens = {r: ad_x_tables(sys, N, r)[0] for r in sys.roots}
+    blocks = [s for s in sys.simple] + [neg(s) for s in sys.simple]
+    rows, cols, vals = [], [], []
+    off = z_cols
+    for bi, e in enumerate(blocks):
+        base = bi * n * n
+        xe = reference_x_unit_int(sys, e)
+        eq, cell, v = standardize._commutator_entries(xe)
+        kept = column[cell] >= 0
+        rows.append(base + eq[kept])
+        cols.append(column[cell[kept]])
+        vals.append(v[kept])
+        mats = torus + [gens[r] for r in sys.positive if r != e]
+        mats += [gens[neg(r)] for r in sys.positive if neg(r) != e]
+        for k, M in enumerate(mats):
+            P = M.right_mul_t(xe.T).T
+            i, c = np.nonzero(P)
+            rows.append(base + i * n + M.cols[c])
+            cols.append(np.full(len(i), off + k, dtype=np.int64))
+            vals.append(-P[i, c])
+        off += len(mats)
+    return standardize._coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), p)
+
+
+@pytest.mark.parametrize("token,p", [("A2", 5), ("A3", 5), ("D5", 3), ("E6", 3), ("E7", 3)])
+def test_linearized_system_matches_the_integer_reference(token, p):
+    # x_e(1) over F_p: entries reduced mod p before any product, which the
+    # canonical COO reduces mod p anyway
+    sys = system(token)
+    lin, want = build_linearized_system(sys, p), reference_linearized_coo(sys, p)
+    assert lin.matrix.dtype == want.dtype and lin.matrix.shape == want.shape
+    assert np.array_equal(lin.matrix, want)
+
+
+@pytest.mark.parametrize("p", [1, 2, 9])
+def test_systems_refuse_a_p_that_is_no_odd_prime(p):
+    # p = 1 and p = 9 have no field F_p, and p = 2 has no 1/2
+    for build in (build_linearized_system, build_commutation_system):
+        with pytest.raises(RingError):
+            build(A2, p)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -501,9 +565,13 @@ def test_certificate_certified_elements_have_congruent_defects():
 
 def test_odd_square_is_refused_not_floored():
     # x_r(1) = I + X + X^2 / 2 is integral because X^2 is even; an odd entry
-    # must raise instead of being floored away
+    # must raise instead of being floored away, in both systems' x_e(1) over
+    # F_p and in the integer reference
     from test_lie import odd_square_a2
 
     sys, _, a = odd_square_a2()
+    for build in (build_linearized_system, build_commutation_system):
+        with pytest.raises(ArithmeticError, match="odd entry"):
+            build(sys, 3)
     with pytest.raises(ArithmeticError, match="odd entry"):
-        standardize._x_unit_int(sys, a)
+        reference_x_unit_int(sys, a)
