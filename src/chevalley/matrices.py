@@ -258,13 +258,15 @@ class Mat:
         if not isinstance(rows, list) or len(rows) != n:
             got = f"{len(rows)} rows" if isinstance(rows, list) else type(rows).__name__
             raise RingError(f"matrix rows must be a list of n = {n} rows, not {got}")
+        # every row's shape is checked before the n x n array is allocated
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n:
+                raise RingError(f"matrix row {i} is not a list of n = {n} entries")
         q, d = ring.q, ring.depth
         data = np.zeros((d, n, n), dtype=np.int64)
         # the flattened slots, entry after entry, of each row not of plain integers
         slots = {}
         for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
-                raise RingError(f"matrix row {i} is not a list of n = {n} entries")
             if all(type(e) is int for e in row):
                 data[0, i] = [e % q for e in row]
                 continue

@@ -363,6 +363,11 @@ class Ring:
                 return x
 
     def random_radical(self, rng) -> RingElem:
+        """A uniform element of the radical J, drawn by rejection.  Over a
+        field J = {0} (nilpotency 1): zero, with no draw, where rejection
+        would take q tries on average."""
+        if self.nilpotency == 1:
+            return self.zero
         while True:
             x = self.random_element(rng)
             if not self.is_unit_vec(x.vec):

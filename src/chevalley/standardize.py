@@ -10,9 +10,10 @@ and each block's own-root unipotent coefficient omitted (it is absorbed by
 the x_e(1) factor).  A trivial kernel pins the normalizer down to the group
 itself, which the certificate pipeline then witnesses element by element.
 
-Each x_e(1) is built over F_p itself, as `x_elem` over the ring gf:p (the
-equations are only ever read mod p), so p must be an odd prime: any other
-p is refused with RingError by `make_ring`.
+Both it and the plain-commutation control are built block by block over
+F_p (`_canonical_blocks`) from the entries of x_e(1) - I on the generator
+tables; only the -x_e(1) M columns form x_e(1), as `x_elem` over gf:p.  So
+p must be an odd prime: any other p is refused with RingError by `make_ring`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import RecoveryError, designated_positions, normal_form_word, recover
-from .group import GroupElement, congruence_member, graph_matrix, inverse_word, word_to_json, x_elem
+from .group import GroupElement, _off_identity, congruence_member, graph_matrix, inverse_word, word_to_json, x_elem
 from .lie import SparseColumns, ad_x_tables, structure_constants, t_matrix
-from .rings import RingError, make_ring
+from .rings import Ring, RingError, make_ring
 from .roots import RootSystem, neg
 
 
@@ -66,88 +67,84 @@ def _is_canonical(rows, cols, vals, p: int) -> bool:
                 and ((vals >= 1) & (vals < p)).all())
 
 
-def _commutator_entries(xe: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, cell, value) triples of vec(Z xe - xe Z), row-major on both sides.
+def _commutator_entries(sys: RootSystem, field: Ring, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, cell, value) triples of vec(Z x - x Z) for x = x_e(1) over the
+    field, row-major on both sides.
 
-    Row (i, j) gets +xe[k, j] on cell (i, k) and -xe[i, k] on cell (k, j).
-    The identity part of xe commutes with Z, so only the nonzeros of
-    xe - I are read, each once per value of the free index.
+    Row (i, j) gets +x[k, j] on cell (i, k) and -x[i, k] on cell (k, j).
+    The identity part of x commutes with Z, so only the entries of x - I
+    are read, from the generator tables (`_off_identity`), each once per
+    value of the free index.
     """
-    n = xe.shape[0]
-    a, b = np.nonzero(xe - np.eye(n, dtype=np.int64))
-    v = xe[a, b]
+    n = sys.n
+    _, a, b, v = _off_identity(sys, field, [e], [field.one])
     f = np.arange(n)[:, None]
     rows = np.concatenate([(f * n + b).ravel(), (a * n + f).ravel()])
     cells = np.concatenate([(f * n + a).ravel(), (b * n + f).ravel()])
-    vals = np.concatenate([np.tile(v, n), np.tile(-v, n)])
+    vals = np.concatenate([np.tile(v[0], n), np.tile(-v[0], n)])
     return rows, cells, vals
+
+
+def _canonical_blocks(sys: RootSystem, field: Ring, blocks, column: np.ndarray, extra) -> np.ndarray:
+    """Canonical COO of n^2 rows per generator e of `blocks`: vec(Z x_e(1) -
+    x_e(1) Z) on the unknown column[c] of each cell c of Z (column -1: a
+    frozen cell, dropped), beside the (rows, cols, vals) that extra(bi, e)
+    yields.  Each block's rows lie above the block before, so each block is
+    made canonical on its own and the blocks concatenated: only one block's
+    raw entries are held at once."""
+    n, coos = sys.n, []
+    for bi, e in enumerate(blocks):
+        eq, cell, v = _commutator_entries(sys, field, e)
+        kept = column[cell] >= 0
+        parts = [(eq[kept], column[cell[kept]], v[kept]), *extra(bi, e)]
+        rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+        coos.append(_coo(bi * n * n + rows, cols, vals, field.p))
+    return np.concatenate(coos, axis=1)
 
 
 def build_linearized_system(sys: RootSystem, p: int) -> LinSystem:
     """Blocks for the simple roots and their negatives, with designated zeros."""
-    field = make_ring(f"gf:{p}")
-    table = designated_positions(sys)
-    n = sys.n
-    zeros = table.cell_set()
+    field, n = make_ring(f"gf:{p}"), sys.n
+    zeros = designated_positions(sys).cell_set()
     keep = np.array([i * n + j for i in range(n) for j in range(n) if (i, j) not in zeros])
     z_cols = len(keep)
     column = np.full(n * n, -1, dtype=np.int64)
     column[keep] = np.arange(z_cols)
-
-    # sparse columns of T_1..T_l, then ad x_r for every root r; each block
-    # drops its own root's generator
-    N = structure_constants(sys)
-    torus = [SparseColumns(n, [(c, c, int(d)) for c, d in enumerate(t_matrix(sys, i).diagonal())])
-             for i in range(sys.rank)]
-    gens = {r: ad_x_tables(sys, N, r)[0] for r in sys.roots}
     blocks = [s for s in sys.simple] + [neg(s) for s in sys.simple]
 
-    rows, cols, vals = [], [], []
-    off = z_cols
-    for bi, e in enumerate(blocks):
-        base = bi * n * n
+    # sparse columns of T_1..T_l, then ad x_r for every root r but the
+    # block's own: `width` unknowns a block
+    torus = [SparseColumns(n, [(c, c, int(d)) for c, d in enumerate(t_matrix(sys, i).diagonal())])
+             for i in range(sys.rank)]
+    width = sys.rank + len(sys.roots) - 1
+
+    def abc_columns(bi, e):
+        # the column of -(x_e(1) M) for each M, from M's nonzero columns
         xe = x_elem(sys, field, e, field.one).mat.data[0]
-        eq, cell, v = _commutator_entries(xe)
-        kept = column[cell] >= 0
-        rows.append(base + eq[kept])
-        cols.append(column[cell[kept]])
-        vals.append(v[kept])
-        mats = torus + [gens[r] for r in sys.positive if r != e]
-        mats += [gens[neg(r)] for r in sys.positive if neg(r) != e]
-        # the column of -(xe M) for each M, from M's nonzero columns
+        mats = torus + [ad_x_tables(sys, structure_constants(sys), r)[0] for r in sys.roots if r != e]
         for k, M in enumerate(mats):
             P = M.right_mul_t(xe.T).T
             i, c = np.nonzero(P)
-            rows.append(base + i * n + M.cols[c])
-            cols.append(np.full(len(i), off + k, dtype=np.int64))
-            vals.append(-P[i, c])
-        off += len(mats)
+            yield i * n + M.cols[c], np.full(len(i), z_cols + bi * width + k, dtype=np.int64), -P[i, c]
+
     return LinSystem(
         system=sys.name,
         p=p,
-        matrix=_coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), p),
+        matrix=_canonical_blocks(sys, field, blocks, column, abc_columns),
         equations=len(blocks) * n * n,
         z_unknowns=z_cols,
-        abc_unknowns=off - z_cols,
+        abc_unknowns=len(blocks) * width,
         blocks=tuple(tuple(e) for e in blocks),
     )
 
 
 def build_commutation_system(sys: RootSystem, p: int) -> LinSystem:
-    """Control system: plain commutation with every x_alpha(1), no frozen cells.
-
-    Each block's rows lie in a range of their own, above the block before,
-    so the blocks are made canonical one at a time and concatenated: only
-    one block's raw entries are held at once."""
+    """Control system: plain commutation with every x_alpha(1), no frozen cells."""
     field, n = make_ring(f"gf:{p}"), sys.n
-    blocks = []
-    for bi, r in enumerate(sys.roots):
-        eq, cell, v = _commutator_entries(x_elem(sys, field, r, field.one).mat.data[0])
-        blocks.append(_coo(bi * n * n + eq, cell, v, p))
     return LinSystem(
         system=sys.name,
         p=p,
-        matrix=np.concatenate(blocks, axis=1),
+        matrix=_canonical_blocks(sys, field, sys.roots, np.arange(n * n), lambda bi, r: ()),
         equations=len(sys.roots) * n * n,
         z_unknowns=n * n,
         abc_unknowns=0,

@@ -119,6 +119,10 @@ def test_bad_configuration_exits_two(capsys, tmp_path):
     identity = tmp_path / "identity.json"
     rows = [[int(i == j) for j in range(8)] for i in range(8)]
     identity.write_text(json.dumps({"n": 8, "ring": "int", "rows": rows}))
+    # a 400 KB file naming n = 100000, with empty rows: refused before the
+    # n x n array is allocated
+    oversized = tmp_path / "oversized.json"
+    oversized.write_text(json.dumps({"n": 100000, "ring": "zmod:3^2", "rows": [[]] * 100000}))
     for argv in (["verify", "lemma2", "--system", "A2", "--ring", "zmod:3^2", "--count", "-3"],
                  ["verify", "jacobi", "--system", "E6", "--count", "-1"],
                  # options the chosen suite does not take
@@ -132,6 +136,9 @@ def test_bad_configuration_exits_two(capsys, tmp_path):
                  # recovery over a ring not known to be local
                  ["verify", "lemma2", "--system", "A2", "--ring", "ext:zmod:5^2:2:3", "--count", "2"],
                  ["decompose", "--system", "A2", "--ring", "ext:gf:7:3:2", "--matrix-file", str(identity)],
+                 ["decompose", "--system", "A2", "--ring", "zmod:3^2", "--matrix-file", str(oversized)],
+                 # a rank above roots.MAX_RANK, refused before its Cartan matrix
+                 ["roots", "--system", "A100000"],
                  # argparse errors: a missing value, a non-integer, an unknown verb
                  ["verify", "lemma2", "--system", "A2", "--ring"],
                  ["verify", "lemma2", "--system", "A2", "--ring", "gf:3", "--count", "x"],
@@ -140,6 +147,14 @@ def test_bad_configuration_exits_two(capsys, tmp_path):
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_seeded_lemma2_over_a_large_prime_field_finishes():
+    # over a field the radical is {0}: each radical parameter is zero with no
+    # draw, where rejection sampling took q = 49999991 tries a parameter
+    code, out = run_cli(["verify", "lemma2", "--system", "A2", "--ring", "gf:49999991", "--count", "100"])
+    rep = json.loads(out)
+    assert code == 0 and rep["ok"] and rep["checks"] == 100
 
 
 def test_verify_failure_exit_code_is_one(monkeypatch):

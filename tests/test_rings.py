@@ -142,6 +142,22 @@ def test_residue_map():
             assert residue(a + b) == residue(a) + residue(b)
 
 
+@pytest.mark.parametrize("desc", ["gf:3", "gf:49999991", "zmod:7^1", "trunc:5:1"])
+def test_random_radical_over_a_field_is_zero_with_no_draw(desc):
+    ring, rng = make_ring(desc), random.Random(0)
+    state = rng.getstate()
+    assert ring.random_radical(rng) == ring.zero
+    assert rng.getstate() == state
+
+
+def test_random_radical_draws_when_the_radical_is_not_zero():
+    for desc in ("zmod:3^2", "trunc:3:2"):
+        ring, rng = make_ring(desc), random.Random(0)
+        state = rng.getstate()
+        assert radical_member(ring.random_radical(rng))
+        assert rng.getstate() != state
+
+
 def test_radical_nilpotent_exhaustive():
     for desc in ("zmod:3^2", "trunc:3:3"):
         ring = make_ring(desc)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley import standardize
+from chevalley import group, standardize
 from chevalley.decompose import RecoveryError, _solve_cells, compose, designated_positions
 from chevalley.group import GroupElement, congruence_member, graph_matrix, word_to_json, word_to_matrix, x_elem
 from chevalley.lie import SparseColumns, ad_x, ad_x_tables, structure_constants, t_matrix
@@ -233,6 +233,26 @@ def reference_x_unit_int(sys, r) -> np.ndarray:
     return np.eye(sys.n, dtype=np.int64) + ad_x(sys, N, r) + ad_x_tables(sys, N, r)[1].dense()
 
 
+def reference_commutator_entries(xe: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense `standardize._commutator_entries`, verbatim: it read the
+    nonzeros of x_e(1) - I from a dense x_e(1).
+
+    (row, cell, value) triples of vec(Z xe - xe Z), row-major on both sides.
+
+    Row (i, j) gets +xe[k, j] on cell (i, k) and -xe[i, k] on cell (k, j).
+    The identity part of xe commutes with Z, so only the nonzeros of
+    xe - I are read, each once per value of the free index.
+    """
+    n = xe.shape[0]
+    a, b = np.nonzero(xe - np.eye(n, dtype=np.int64))
+    v = xe[a, b]
+    f = np.arange(n)[:, None]
+    rows = np.concatenate([(f * n + b).ravel(), (a * n + f).ravel()])
+    cells = np.concatenate([(f * n + a).ravel(), (b * n + f).ravel()])
+    vals = np.concatenate([np.tile(v, n), np.tile(-v, n)])
+    return rows, cells, vals
+
+
 def reference_commutation_coo(sys, p) -> np.ndarray:
     """The control COO as `build_commutation_system` made it before it made
     each block canonical on its own, and with x_r(1) over the integers:
@@ -241,7 +261,7 @@ def reference_commutation_coo(sys, p) -> np.ndarray:
     n = sys.n
     rows, cols, vals = [], [], []
     for bi, r in enumerate(sys.roots):
-        eq, cell, v = standardize._commutator_entries(reference_x_unit_int(sys, r))
+        eq, cell, v = reference_commutator_entries(reference_x_unit_int(sys, r))
         rows.append(bi * n * n + eq)
         cols.append(cell)
         vals.append(v)
@@ -269,7 +289,7 @@ def reference_linearized_coo(sys, p) -> np.ndarray:
     for bi, e in enumerate(blocks):
         base = bi * n * n
         xe = reference_x_unit_int(sys, e)
-        eq, cell, v = standardize._commutator_entries(xe)
+        eq, cell, v = reference_commutator_entries(xe)
         kept = column[cell] >= 0
         rows.append(base + eq[kept])
         cols.append(column[cell[kept]])
@@ -286,7 +306,7 @@ def reference_linearized_coo(sys, p) -> np.ndarray:
     return standardize._coo(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), p)
 
 
-@pytest.mark.parametrize("token,p", [("A2", 5), ("A3", 5), ("D5", 3), ("E6", 3), ("E7", 3)])
+@pytest.mark.parametrize("token,p", [("A2", 5), ("A3", 5), ("D5", 3), ("E6", 3), ("E7", 3), ("E8", 3)])
 def test_linearized_system_matches_the_integer_reference(token, p):
     # x_e(1) over F_p: entries reduced mod p before any product, which the
     # canonical COO reduces mod p anyway
@@ -304,14 +324,34 @@ def test_systems_refuse_a_p_that_is_no_odd_prime(p):
             build(A2, p)
 
 
-@pytest.mark.parametrize("p", [3, 5])
-@pytest.mark.parametrize("token", ["A2", "D4", "D5"])
+@pytest.mark.parametrize("token,p", [*((token, p) for token in ("A2", "D4", "D5") for p in (3, 5)), ("E6", 3)])
 def test_commutation_blocks_made_canonical_one_at_a_time(token, p):
     lin = build_commutation_system(system(token), p)
     want = reference_commutation_coo(system(token), p)
     assert lin.matrix.dtype == want.dtype and lin.matrix.shape == want.shape
     assert np.array_equal(lin.matrix, want)
     assert_canonical(lin)
+
+
+@pytest.mark.parametrize("token", ["A2", "D4", "E6"])
+def test_only_the_linearized_products_build_a_generator(token, monkeypatch):
+    # both systems read their commutator rows off the generator tables: the
+    # control builds no x_e(1), and the linearized system one per block, for
+    # its -x_e(1) M columns alone
+    sys, built = system(token), []
+
+    def counting(inner):
+        def call(*args):
+            built.append(tuple(args[2]))
+            return inner(*args)
+        return call
+
+    for module in (group, standardize):
+        monkeypatch.setattr(module, "x_elem", counting(module.x_elem))
+    build_commutation_system(sys, 3)
+    assert built == []
+    lin = build_linearized_system(sys, 3)
+    assert len(built) == 2 * sys.rank and tuple(built) == lin.blocks
 
 
 def test_rank_mod_p_small_cases():
