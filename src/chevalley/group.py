@@ -132,14 +132,18 @@ def inverse_word(word) -> tuple[Factor, ...]:
 def word_to_matrix(sys: RootSystem, ring: Ring, word, rows=None) -> Mat:
     """The matrix of `word`, or only its rows `rows` as a row stack: those
     rows of the identity times each factor in turn.  The whole matrix starts
-    from the first factor's, so a one-factor word keeps its factor."""
+    from the first factor's, so a one-factor word keeps its factor.  The
+    running product is a chain (`Mat.chain`): no intermediate is handed
+    out, so its generator products update one buffer in place, and the
+    result is frozen."""
     if rows is None and word:
         out, word = _factor_matrix(sys, ring, word[0]), word[1:]
     else:
         out = Mat.identity(ring, sys.n, rows)
+    out = out.chain()
     for f in word:
         out = out @ _factor_matrix(sys, ring, f)
-    return out
+    return out.freeze()
 
 
 # ---------------------------------------------------------------------------

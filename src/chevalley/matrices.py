@@ -21,27 +21,44 @@ its right operand:
   is the diagonal of their entrywise product and forms no n x n stack.  A
   diagonal on the left of a dense matrix is a dense operand: no verb
   multiplies in that order.
-* a generator, I + sum s_k A_k (sparse integer A_k), on the right adds
-  sum s_k (M A_k) to the columns the A_k touch, as one block update: the
-  columns of M in the sorted union of the terms' columns are gathered once,
-  each term adds T_s (M A_k) at its positions in that block, with T_s the
-  depth x depth regular representation of s, and the block is reduced once
-  and written back once.  At depth 1 T_s is the one slot of s, a scalar
-  multiply.  M A_k is left unreduced, so its entries are at most
-  K_k (q - 1) in absolute value, K_k being A_k's largest column sum of
-  |coefficient|; T_s (M A_k) sums depth such products, so an entry of the
-  block is at most sum_k K_k * depth * (q - 1)^2 + q, which must stay below
-  2^63.  That bound, with the block layout, is checked once per ring, size
-  and table tuple (`_checked_layout`), the first time `Mat.unipotent`
-  builds a generator of those tables, and a refusal comes before any array
-  is built.  The update works on the column-major buffer M^T, shape
-  (depth, n, r), where each gathered column is a contiguous row; the
-  result's `data` is the (depth, r, n) transposed view of a C-ordered
-  buffer.  The update copies M^T once, as its output buffer: the next
-  generator product in a chain (compose, or a sweep's inverse word) finds
-  it contiguous, and any other left operand, a dense input or the
-  identity, is transposed by that copy.  A generator's dense stack is that
-  update applied to the identity.
+* a generator, I + sum_k s_k A_k (sparse integer tables A_k), on the right
+  changes only the columns the A_k touch, by one fused update
+  (`_unipotent_update`).  Its layout (`ColumnLayout`) is built once per
+  ring, size and table tuple: the sorted union of the touched columns, and
+  for each of them one *lead* entry (its source row, integer coefficient
+  and term), the first entry of the first table that touches it.  Every
+  other entry goes into a small integer matrix F_k over the columns it
+  targets and the rows it reads; for ad x_a these are the fold of column
+  -a onto the Cartan rows and the one entry of the half square.  A
+  generator reduces, once, each lead coefficient times its term's T_s (the
+  depth x depth regular representation of s, at depth 1 its one slot) and
+  F = sum_k T_{s_k} (x) F_k.  A product then makes one gather of the
+  block's own rows, the lead rows and the other rows, adds the lead rows
+  mixed by their T_s (one batched depth x depth product, a multiply at
+  depth 1) and F times the other rows to the block, reduces once and
+  writes back once: no scatter with repeated indices and no per-term pass.
+
+  Every term is a product of two residues, so an entry of the block is at
+  most depth (1 + e) (q - 1)^2 + q, e being the most other entries of one
+  column.  The check made is the coarser sum_k K_k * depth * (q - 1)^2 + q,
+  K_k being A_k's largest column sum of |coefficient|: each entry counts
+  at least once in it.  It is made with the layout (`_checked_layout`) the
+  first time `Mat.unipotent` builds a generator of those tables, and a
+  refusal comes before any array is built.
+
+The update works in place on the buffer M^T, C-ordered of shape
+(n, depth, r): each gathered column of M, all its slots, is one contiguous
+row, and the slot mixing is a batched product on contiguous blocks.  The
+result's `data` is the (depth, r, n) transposed view of that buffer.  A
+product whose left operand is not a chain's own buffer copies M^T once, as
+the result's buffer (a diagonal is written into a fresh buffer, with no
+dense stack): a caller's matrix, the identity, a diagonal and a
+generator's dense stack are never written.  A chain, the running product
+of `group.word_to_matrix` (compose, a sweep's inverse word, a commutator
+word), hands no intermediate out, so from its first generator on it
+updates the one buffer it owns in place (`Mat.chain`), and `Mat.freeze`
+makes it read-only before it is returned.  A generator's dense stack is
+the update applied to a fresh identity buffer.
 
 Every other product is dense.  There is no matrix inverse: a group element
 is inverted as its word of factors (`group.inverse_word`).  A matrix with
@@ -54,6 +71,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,69 +79,117 @@ from .lie import frozen_index
 from .rings import Ring, RingElem, RingError
 
 
-def _unipotent_right(ring: Ring, M: np.ndarray, update) -> np.ndarray:
-    """M (I + sum s A) = M + sum s (M A), as one block update over the
-    columns `cols` the terms touch (layout and bound: module docstring)."""
-    cols, parts = update
-    out = M.transpose(0, 2, 1).copy()
-    block = out.take(cols, axis=1)
-    for A, pos, Ts in parts:
-        MA = A.right_mul_t(out)
-        if ring.depth == 1:
-            MA *= Ts
-        else:
-            MA = np.einsum("ki,inc->knc", Ts, MA)
-        block[:, pos] += MA
-    out[:, cols] = ring.mat_mod(block)
-    return out.transpose(0, 2, 1)
+class ColumnLayout(NamedTuple):
+    """Where a generator of some tables A_0 .. A_{K-1} reads and writes.
+
+    cols: the sorted union of the u columns the tables touch.  gather: the
+    rows of M^T one product reads, cols, then each column's lead row, then
+    the J rows the other entries read.  fold_at: the positions in cols of
+    the P columns with other entries.  coeff: (u + P J, K) integers, column
+    k holding A_k's lead coefficient at each position (0 where another
+    term leads), then F_k, its (P, J) matrix of other entries, flattened.
+    All arrays are read-only."""
+
+    cols: np.ndarray
+    gather: np.ndarray
+    fold_at: slice | np.ndarray
+    coeff: np.ndarray
+
+
+def _unipotent_update(ring: Ring, MT: np.ndarray, update) -> None:
+    """M (I + sum s A) = M + sum s (M A) on the columns the terms touch, in
+    place on the C-ordered (n, depth, r) buffer MT = M^T (module
+    docstring): one gather, the leads mixed, F folded in, one reduction
+    and one write-back."""
+    layout, lead, fold = update
+    u = len(layout.cols)
+    G = MT.take(layout.gather, axis=0)
+    block, L = G[:u], G[u:2 * u]
+    if ring.depth == 1:
+        L *= lead
+        block += L
+    else:
+        block += np.matmul(lead, L)
+    if fold is not None:
+        r = MT.shape[2]
+        block[layout.fold_at] += (fold @ G[2 * u:].reshape(-1, r)).reshape(-1, ring.depth, r)
+    MT[layout.cols] = ring.mat_mod(block)
 
 
 @lru_cache(maxsize=None)
-def _checked_layout(ring: Ring, n: int, tables) -> tuple[np.ndarray, tuple]:
-    """The block layout of the `SparseColumns` tables, once per ring, size
+def _checked_layout(ring: Ring, n: int, tables) -> ColumnLayout:
+    """The `ColumnLayout` of the `SparseColumns` tables, once per ring, size
     and table tuple, after the checks every generator of them needs: each
-    table is n x n, and the block update stays below 2^63 over `ring`.  A
-    refusal is not cached, so it is raised again, before any array is
-    built, each time.
+    table is n x n, and the update stays below 2^63 over `ring`.  A refusal
+    is not cached, so it is raised again, before any array is built, each
+    time.
 
-    The layout is the sorted union of the columns the tables touch, and
-    each table's column positions in it.  A table whose columns are one
-    run of the block, as all of it for ad x_a and the one column of its
-    square, gets the positions as a slice: its update is in place.  Built
-    in Python: `np.unique` would import `numpy.ma`, 1.6 MB of resident
-    memory, for a few dozen integers."""
+    Built in Python: `np.unique` would import `numpy.ma`, 1.6 MB of
+    resident memory, for a few dozen integers."""
     for A in tables:
         if A.n != n:
             raise RingError(f"sparse {A.n} x {A.n} term in a {n} x {n} matrix")
     ring.check_int64(sum(A.col_bound for A in tables) * ring.depth, "a generator column update", ring.q)
-    union = sorted(set().union(*(A.cols.tolist() for A in tables)))
-    at = {c: i for i, c in enumerate(union)}
-    cols = np.array(union, dtype=np.int64)
-    cols.setflags(write=False)
-    return cols, tuple(frozen_index([at[c] for c in A.cols.tolist()]) for A in tables)
+    # every entry as (column, term, row, coefficient): a column's first is its lead
+    entries = sorted((c, k, d, a) for k, A in enumerate(tables)
+                     for c, d, a in zip(A.src.tolist(), A.dst.tolist(), A.coeff.tolist()))
+    cols, leads, others = [], [], []
+    for c, k, d, a in entries:
+        if cols and cols[-1] == c:
+            others.append((len(cols) - 1, k, d, a))
+        else:
+            cols.append(c)
+            leads.append((k, d, a))
+    fold_at = sorted({p for p, _, _, _ in others})
+    other_rows = sorted({d for _, _, d, _ in others})
+    u, P, J = len(cols), len(fold_at), len(other_rows)
+    coeff = np.zeros((u + P * J, len(tables)), dtype=np.int64)
+    for p, (k, _, a) in enumerate(leads):
+        coeff[p, k] = a
+    # (position, row) is distinct within one table, so no cell is written twice
+    p_at, d_at = {p: i for i, p in enumerate(fold_at)}, {d: j for j, d in enumerate(other_rows)}
+    for p, k, d, a in others:
+        coeff[u + p_at[p] * J + d_at[d], k] = a
+    arrays = [np.array(cols, dtype=np.int64), np.array(cols + [d for _, d, _ in leads] + other_rows, dtype=np.int64),
+              coeff]
+    for a in arrays:
+        a.setflags(write=False)
+    return ColumnLayout(arrays[0], arrays[1], frozen_index(fold_at), coeff)
+
+
+def _diagonal_buffer(depth: int, n: int, entries) -> np.ndarray:
+    """M^T of the n x n diagonal M with `entries`, (n, depth) or one
+    (depth,) vector, as a fresh C-ordered (n, depth, n) buffer."""
+    buf = np.zeros((n, depth, n), dtype=np.int64)
+    buf[np.arange(n), :, np.arange(n)] = entries
+    return buf
 
 
 class Mat:
-    __slots__ = ("ring", "n", "_data", "factor")
+    __slots__ = ("ring", "n", "_data", "factor", "chained")
 
     def __init__(self, ring: Ring, data: np.ndarray | None, *, reduce: bool = True, factor=None,
-                 n: int | None = None):
+                 n: int | None = None, chained: bool = False):
         """data None (n given) is a diagonal or a generator: `data` forms it
-        from `factor`."""
+        from `factor`.  `chained` marks a chain's running product
+        (`Mat.chain`), whose data is left writable."""
         self.ring = ring
         if data is not None:
             if reduce:
                 data = ring.mat_mod(np.asarray(data, dtype=np.int64))
             n = data.shape[-1]
-            data.setflags(write=False)
+            if not chained:
+                data.setflags(write=False)
         self.n = n
         self._data = data
-        # ("diag", read-only (depth, 1, n) stack) | ("unipotent", (cols, ((A, pos, T_s), ...)))
-        # with A a SparseColumns table, pos its columns' positions in the sorted
-        # union cols of every term's columns, and T_s the read-only (depth, depth)
-        # regular representation of the scalar s, or at depth 1 its one slot
-        # as an int
+        # ("diag", read-only (depth, 1, n) stack) | ("unipotent", (layout, lead, fold))
+        # with layout the tables' `ColumnLayout`, lead the (u, depth, depth)
+        # reduced lead coefficients times their term's T_s, and fold the
+        # (P depth, J depth) matrix sum_k T_{s_k} (x) F_k, rows (position,
+        # slot) and columns (row, slot), or None when no column has other
+        # entries
         self.factor = factor
+        self.chained = chained
 
     @property
     def data(self) -> np.ndarray:
@@ -135,10 +201,46 @@ class Mat:
                 data = np.zeros((self.ring.depth, self.n, self.n), dtype=np.int64)
                 data[:, np.arange(self.n), np.arange(self.n)] = parts[:, 0]
             else:
-                data = _unipotent_right(self.ring, Mat.identity(self.ring, self.n).data, parts)
+                data = self._fresh_buffer().transpose(1, 2, 0)
             data.setflags(write=False)
             self._data = data
         return self._data
+
+    def _fresh_buffer(self) -> np.ndarray:
+        """M^T of a diagonal or a generator, formed from its factor, as a
+        fresh C-ordered (n, depth, n) buffer."""
+        kind, parts = self.factor
+        if kind == "diag":
+            return _diagonal_buffer(self.ring.depth, self.n, parts[:, 0].T)
+        buf = _diagonal_buffer(self.ring.depth, self.n, self.ring.one.vec)
+        _unipotent_update(self.ring, buf, parts)
+        return buf
+
+    def _column_major(self) -> np.ndarray:
+        """M^T as a C-ordered writable buffer for a generator update: a
+        chain's own buffer itself, a factor not yet formed in a fresh
+        buffer, anything else copied once."""
+        if self._data is None:
+            return self._fresh_buffer()
+        MT = self._data.transpose(2, 0, 1)
+        return MT if self.chained and MT.flags.writeable and MT.flags.c_contiguous else MT.copy()
+
+    # -- chains ------------------------------------------------------------------
+
+    def chain(self) -> "Mat":
+        """This matrix as the start of a chain: a product onto a chain is a
+        chain, and a generator product onto one that owns its buffer updates
+        that buffer in place, so no chain may be handed out before
+        `freeze`."""
+        return Mat(self.ring, self._data, reduce=False, factor=self.factor, n=self.n, chained=True)
+
+    def freeze(self) -> "Mat":
+        """End this chain: its data becomes read-only, and it is an ordinary
+        matrix again."""
+        if self._data is not None:
+            self._data.setflags(write=False)
+        self.chained = False
+        return self
 
     # -- constructors ----------------------------------------------------------
 
@@ -159,25 +261,29 @@ class Mat:
         return cls._diagonal(ring, dvec)
 
     @classmethod
-    def _diagonal(cls, ring: Ring, dvec: np.ndarray) -> "Mat":
+    def _diagonal(cls, ring: Ring, dvec: np.ndarray, chained: bool = False) -> "Mat":
         dvec.setflags(write=False)
-        return cls(ring, None, n=dvec.shape[2], factor=("diag", dvec))
+        return cls(ring, None, n=dvec.shape[2], factor=("diag", dvec), chained=chained)
 
     @classmethod
     def unipotent(cls, ring: Ring, n: int, terms) -> "Mat":
         """I + sum of s * A over the (A, s) in `terms`: A an integer matrix given
-        by its `SparseColumns`, s a ring element.  Only the factor is built."""
+        by its `SparseColumns`, s a ring element.  Only the factor is built:
+        every term's T_s from one `regular` of the scalars side by side (at
+        depth 1 the scalars themselves), times the layout's coefficients in
+        one small product, reduced once."""
         terms = tuple(terms)
-        cols, positions = _checked_layout(ring, n, tuple(A for A, _ in terms))
-        if ring.depth == 1:
-            scalars = [s.vec[0] for _, s in terms]
-        else:
-            # every term's T_s from one `regular` of the scalars side by side
-            R = ring.regular(np.array([s.vec for _, s in terms], dtype=np.int64).T)
-            R.setflags(write=False)
-            scalars = [R[..., k] for k in range(len(terms))]
-        parts = tuple(zip((A for A, _ in terms), positions, scalars))
-        return cls(ring, None, n=n, factor=("unipotent", (cols, parts)))
+        layout = _checked_layout(ring, n, tuple(A for A, _ in terms))
+        # u positions, J other rows
+        d, u = ring.depth, len(layout.cols)
+        J = len(layout.gather) - 2 * u
+        S = np.array([s.vec for _, s in terms], dtype=np.int64).T
+        # T_s of every term flattened, one column per term
+        R = S if d == 1 else ring.regular(S).reshape(d * d, -1)
+        c = layout.coeff @ R.T % ring.q
+        lead = c[:u].reshape(u, d, d)
+        fold = c[u:].reshape(-1, J, d, d).transpose(0, 2, 1, 3).reshape(-1, d * J) if J else None
+        return cls(ring, None, n=n, factor=("unipotent", (layout, lead, fold)))
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -187,13 +293,15 @@ class Mat:
         if other.ring != ring or other.n != self.n or not square:
             raise RingError(f"cannot multiply {self!r} by {other!r}")
         if other.factor is None:
-            return Mat(ring, ring.mat_mul(self.data, other.data))
+            return Mat(ring, ring.mat_mul(self.data, other.data), chained=self.chained)
         kind, parts = other.factor
         if kind == "diag":
             if self.factor is not None and self.factor[0] == "diag":
-                return Mat._diagonal(ring, ring.mat_elemmul(self.factor[1], parts))
-            return Mat(ring, ring.mat_elemmul(self.data, parts), reduce=False)
-        return Mat(ring, _unipotent_right(ring, self.data, parts), reduce=False)
+                return Mat._diagonal(ring, ring.mat_elemmul(self.factor[1], parts), self.chained)
+            return Mat(ring, ring.mat_elemmul(self.data, parts), reduce=False, chained=self.chained)
+        MT = self._column_major()
+        _unipotent_update(ring, MT, parts)
+        return Mat(ring, MT.transpose(1, 2, 0), reduce=False, chained=self.chained)
 
     def __sub__(self, other: "Mat") -> "Mat":
         return Mat(self.ring, self.data - other.data)

@@ -342,10 +342,23 @@ def test_block_update_of_partly_overlapping_columns(desc):
     for terms in (((A, ring.from_int(5)), (B, -ring.one)), ((B, ring.one), (A, ring.from_int(2))),
                   ((A, ring.one), (C, ring.from_int(3)), (B, ring.from_int(4)))):
         X = Mat.unipotent(ring, 8, terms)
-        cols, parts = X.factor[1]
-        assert cols.tolist() == sorted(set().union(*(table.cols.tolist() for table, _ in terms)))
-        for table, pos, _ in parts:
-            assert cols[pos].tolist() == table.cols.tolist()
+        layout = X.factor[1][0]
+        cols = layout.cols.tolist()
+        assert cols == sorted(set().union(*(table.cols.tolist() for table, _ in terms)))
+        # each column's lead is the first entry of the first table touching
+        # it, and the leads with the other entries are every table entry
+        u, J = len(cols), len(layout.gather) - 2 * len(cols)
+        fold_at = np.arange(u)[layout.fold_at].tolist()
+        for k, (table, _) in enumerate(terms):
+            leads = [(c, d, a) for c, d, a in zip(cols, layout.gather[u:2 * u].tolist(),
+                                                   layout.coeff[:u, k].tolist()) if a]
+            F = layout.coeff[u:, k].reshape(len(fold_at), J)
+            others = [(cols[fold_at[i]], layout.gather[2 * u + j], F[i, j]) for i, j in zip(*np.nonzero(F))]
+            assert sorted(leads + others) == sorted(zip(table.src.tolist(), table.dst.tolist(), table.coeff.tolist()))
+            for c, d, _ in leads:
+                assert next(i for i, (t, _) in enumerate(terms) if c in t.cols.tolist()) == k
+                assert d == min(table.dst[table.src == c])
+        assert ((layout.coeff[:u] != 0).sum(axis=1) == 1).all()
         for seed, extreme in ((0, False), (1, True)):
             M = stack(ring, (8, 8), seed, extreme)
             want = reference_generator_product(reference(ring), M, terms)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley.roots import (
+    RootSystem,
     RootSystemError,
     build_root_system,
     classify_roots,
@@ -245,6 +246,35 @@ def test_marked_properties_hold(token):
 @pytest.mark.parametrize("token", ["A2", "A3", "A4", "A5"])
 def test_a_systems_have_no_exceptions(token):
     assert marked_sequence(system(token)).exceptions == ()
+
+
+def reference_close(self):
+    """The closure `RootSystem._close` replaced, verbatim: one `pairing`
+    per root and simple root."""
+    roots = set(self.simple) | {neg(s) for s in self.simple}
+    frontier = set(roots)
+    while frontier:
+        new = set()
+        for b in frontier:
+            for i, s in enumerate(self.simple):
+                c = sub(b, tuple(self.pairing(b, s) * x for x in s))
+                if c not in roots:
+                    new.add(c)
+        roots |= new
+        frontier = new
+    return roots
+
+
+@pytest.mark.parametrize("kind,rank", [("A", l) for l in range(2, 9)] + [("D", l) for l in range(4, 9)]
+                         + [("E", l) for l in range(6, 9)])
+def test_closure_matches_the_pairing_reference(kind, rank, monkeypatch):
+    # the roots, their order and the root set are what every digest reads
+    got = RootSystem(kind, rank)
+    monkeypatch.setattr(RootSystem, "_close", reference_close)
+    want = RootSystem(kind, rank)
+    assert got.roots == want.roots
+    assert got.positive == want.positive
+    assert got.rootset == want.rootset
 
 
 def reference_a_chain(sys):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from chevalley import rings
 from chevalley.decompose import compose, recover
-from chevalley.group import _off_identity, x_elem
+from chevalley.group import _off_identity, word_to_matrix, x_elem
 from chevalley.lie import SparseColumns, ad_x, ad_x_squared, ad_x_tables, structure_constants
 from chevalley.matrices import Mat
 from chevalley.rings import _MAX_MODULUS, RingError, _is_prime, make_ring
@@ -297,6 +297,55 @@ def test_column_major_kernel_equals_row_major_reference(token, desc):
     R = Mat(ring, lefts[3], reduce=False)
     with pytest.raises(RingError):
         x_elem(sys, ring, sys.maximal, ring.one).mat @ R
+
+
+CHAIN_RINGS = ["zmod:3^3", "gf:7", "trunc:3:3", "ext:zmod:5^2:2:3"]
+
+
+@pytest.mark.parametrize("desc", CHAIN_RINGS)
+def test_a_chain_never_writes_into_a_matrix_it_was_handed(desc):
+    # a chain updates its own buffer in place from its second generator on,
+    # and leaves every left operand it started from as it was: a square
+    # matrix, a row stack, a column-major view, a generator whose dense
+    # stack was read, and the identity, square or rows
+    sys, ring = system("D4"), make_ring(desc)
+    rng = random.Random(83)
+    M = random_mat(ring, sys.n, 81).data
+    read = x_elem(sys, ring, sys.maximal, ring.random_element(rng)).mat
+    assert not read.data.flags.writeable
+    lefts = [Mat(ring, M, reduce=False), Mat(ring, np.ascontiguousarray(M[:, [0, 3, 5]]), reduce=False),
+             Mat(ring, column_major(M), reduce=False), read, Mat.identity(ring, sys.n),
+             Mat.identity(ring, sys.n, [2, 1])]
+    word = [("x", r, ring.random_element(rng)) for r in (sys.roots[0], neg(sys.maximal), sys.roots[3])]
+    factors = [x_elem(sys, ring, r, t).mat for _, r, t in word]
+    for left in lefts:
+        before = left.data.copy()
+        C = left.chain()
+        for k, x in enumerate(factors):
+            nxt = C @ x
+            assert nxt.chained and np.shares_memory(nxt.data, C.data) == (k > 0)
+            C = nxt
+        out = C.freeze()
+        assert not out.chained and not out.data.flags.writeable
+        assert np.array_equal(left.data, before) and not left.data.flags.writeable
+        want = left
+        for x in factors:
+            want = want @ x
+        assert np.array_equal(out.data, want.data)
+    # outside a chain every product copies: A = M x, B = A y change neither
+    Mt = Mat(ring, M, reduce=False)
+    A = Mt @ factors[0]
+    A_before = A.data.copy()
+    B = A @ factors[1]
+    assert not np.shares_memory(A.data, B.data)
+    for X, want in ((Mt, M), (A, A_before)):
+        assert np.array_equal(X.data, want) and not X.data.flags.writeable
+    # word_to_matrix hands out a frozen matrix, whole or on rows
+    for rows in (None, [0, 4]):
+        W = word_to_matrix(sys, ring, word, rows)
+        assert not W.chained and not W.data.flags.writeable
+        with pytest.raises(ValueError):
+            W.data[0, 0, 0] = 1
 
 
 def test_oversized_ring_is_refused_before_any_array(monkeypatch):
