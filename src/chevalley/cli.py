@@ -18,6 +18,7 @@ import argparse
 import inspect
 import json
 import sys as _sysmod
+from functools import lru_cache
 
 from . import decompose as _decompose
 from . import suites
@@ -209,10 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on the first `main` call and not
+    at import, so it holds the cmd_* functions as they are bound by then."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

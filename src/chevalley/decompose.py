@@ -21,9 +21,9 @@ sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from typing import NamedTuple
 
 from .group import (
     Character,
@@ -393,6 +393,19 @@ def recover(sys: RootSystem, X: GroupElement | Mat) -> FactoredElement:
 # ---------------------------------------------------------------------------
 
 
+class ProgramLayer(NamedTuple):
+    """One factor of an entry's layered program: x_r(t) = I + t X + t^2 H
+    restricted to the states that matter.  `keep` are the states reached
+    from the column that still reach the row (the identity's edges), `x`
+    and `h` the (src, dst, integer coefficient) entries of X and H from a
+    reached state to a state that still reaches the row."""
+
+    factor: tuple[str, int]
+    keep: tuple[int, ...]
+    x: tuple[tuple[int, int, int], ...]
+    h: tuple[tuple[int, int, int], ...]
+
+
 @dataclass(frozen=True)
 class EntryFormula:
     """Entry of the normal-form product at one matrix cell, as a formal sum.
@@ -402,6 +415,11 @@ class EntryFormula:
     diagonal value of the row, lam times the character of s on the row's
     root (lam alone on a Cartan row).  Terms whose path crosses the Cartan
     subspace carry integer coefficients beyond +-1.
+
+    `program` is the same sum unexpanded: one `ProgramLayer` per factor, in
+    the order the factors act on the column (an algebraic branching
+    program).  `evaluate` runs on it alone; it is not part of equality or
+    repr, which state the formula by its terms.
     """
 
     system: str
@@ -410,36 +428,49 @@ class EntryFormula:
     row_label: tuple
     col_label: tuple
     terms: tuple[tuple[int, tuple[tuple[str, int], ...]], ...]
+    program: tuple[ProgramLayer, ...] = field(compare=False, repr=False)
 
     def evaluate(self, sys: RootSystem, f: FactoredElement) -> RingElem:
-        """The entry at f.  Terms are walked in lexicographic order of their
-        factor tuples, so each term shares its longest common prefix with the
-        one before it; `prefix[k]` holds the product of the first k factors
-        of the current term, and a term costs one product per factor past
-        the shared prefix.  Coefficients are summed per slot as integers and
-        reduced once."""
+        """The entry at f: the column's basis vector pushed through the
+        program on residue vectors.  Each layer keeps the values of its
+        `keep` states and adds, along each edge, the source's value times
+        the parameter (an X edge) or its square, formed once per layer (an H
+        edge): one ring product per edge.  The integer coefficient scales
+        the slots, the ring being a Z/q-module, and the sums are reduced
+        once, at the row, before its torus value multiplies them."""
         ring = f.ring
+        mul = ring.mul_vec
         kind, root = self.row_label
         d_row = f.lam if kind == "h" else f.lam * Character(ring, f.s).value(root)
-        params = {("t", i): x.vec for i, x in enumerate(f.t)}
-        params.update({("u", i): x.vec for i, x in enumerate(f.u)})
-        total = [0] * ring.depth
-        prefix = [ring.one.vec]
-        last: tuple = ()
-        for coeff, factors in sorted(self.terms, key=itemgetter(1)):
-            k = 0
-            for a, b in zip(last, factors):
-                if a != b:
-                    break
-                k += 1
-            del prefix[k + 1:]
-            v = prefix[-1]
-            for factor in factors[k:]:
-                v = ring.mul_vec(v, params[factor])
-                prefix.append(v)
-            total = [s + coeff * x for s, x in zip(total, v)]
-            last = factors
-        return d_row * ring.elem(total)
+        values = {self.col: ring.one.vec}
+        for (tu, idx), keep, x, h in self.program:
+            p = (f.t if tu == "t" else f.u)[idx].vec
+            nxt = {s: values[s] for s in keep}
+            for edges, by in ((x, p), (h, mul(p, p) if h else p)):
+                for s, d, c in edges:
+                    v = mul(values[s], by)
+                    w = nxt.get(d)
+                    nxt[d] = [c * b for b in v] if w is None else [a + c * b for a, b in zip(w, v)]
+            values = nxt
+        return d_row * ring.elem(values.get(self.row, ring.zero.vec))
+
+
+def _entry_layers(sys: RootSystem) -> tuple:
+    """The unipotent factors in the order they act on a column vector
+    (rightmost first), each as ((kind, index), X entries, H entries) with
+    entries (src, dst, integer coefficient) of its `ad_x_tables`.  Built
+    once per system and kept in its `_ad_cache`."""
+    if "entry_layers" not in sys._ad_cache:
+        N = structure_constants(sys)
+        applied = [("u", i, neg(p)) for i, p in enumerate(sys.positive)][::-1]
+        applied += [("t", i, p) for i, p in enumerate(sys.positive)][::-1]
+        layers = []
+        for kind, idx, r in applied:
+            X, H = ad_x_tables(sys, N, r)
+            layers.append(((kind, idx),) + tuple(
+                tuple(zip(T.src.tolist(), T.dst.tolist(), T.coeff.tolist())) for T in (X, H)))
+        sys._ad_cache["entry_layers"] = tuple(layers)
+    return sys._ad_cache["entry_layers"]
 
 
 def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
@@ -450,42 +481,36 @@ def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
     x_r(t) = I + t X_r + t^2 H_r moving a basis state along the entries of
     the `ad_x_tables` of r, with a polynomial in the parameters carried per
     state.  A backward pass first marks, after each factor, the states from
-    which the row can still be reached, and the forward pass keeps only those.
+    which the row can still be reached, and the forward pass keeps only those;
+    it records the states and entries it used as the formula's `program`.
     X_r and H_r entries through the Cartan subspace make coefficients beyond
     +-1.
     """
-    N = structure_constants(sys)
     mu_l = ("h", mu[1]) if isinstance(mu[0], str) else ("x", tuple(mu))
     nu_l = ("h", nu[1]) if isinstance(nu[0], str) else ("x", tuple(nu))
     row = h_index(sys, mu_l[1]) if mu_l[0] == "h" else root_index(sys, mu_l[1])
     col = h_index(sys, nu_l[1]) if nu_l[0] == "h" else root_index(sys, nu_l[1])
-
-    # factors in the order they act on a column vector (rightmost first),
-    # each as its edges (src, dst, integer coefficient, factors gained)
-    applied = [("u", i, neg(p)) for i, p in enumerate(sys.positive)][::-1]
-    applied += [("t", i, p) for i, p in enumerate(sys.positive)][::-1]
-    layers = []
-    for kind, idx, r in applied:
-        X, H = ad_x_tables(sys, N, r)
-        once, twice = ((kind, idx),), ((kind, idx), (kind, idx))
-        layers.append(list(zip(X.src.tolist(), X.dst.tolist(), X.coeff.tolist(), [once] * len(X.src)))
-                      + list(zip(H.src.tolist(), H.dst.tolist(), H.coeff.tolist(), [twice] * len(H.src))))
+    layers = _entry_layers(sys)
 
     # live[k]: states from which the row is reachable through factors k, k+1, ...
     live = [{row}]
-    for edges in reversed(layers):
-        live.append(live[-1] | {s for s, d, _, _ in edges if d in live[-1]})
+    for _, x, h in reversed(layers):
+        live.append(live[-1] | {s for s, d, _ in x + h if d in live[-1]})
     live.reverse()
 
     state: dict[int, dict[tuple, int]] = {col: {(): 1}}
-    for k, edges in enumerate(layers):
+    program = []
+    for k, (factor, x, h) in enumerate(layers):
         after = live[k + 1]
+        layer = ProgramLayer(factor, tuple(s for s in state if s in after),
+                             *(tuple(e for e in edges if e[0] in state and e[1] in after) for edges in (x, h)))
+        program.append(layer)
         # the identity term keeps each polynomial; one is copied only when
         # an edge adds to it
-        nxt = {s: poly for s, poly in state.items() if s in after}
+        nxt = {s: state[s] for s in layer.keep}
         written: set[int] = set()
-        for s, d, c, gained in edges:
-            if s in state and d in after:
+        for edges, gained in ((layer.x, (factor,)), (layer.h, (factor, factor))):
+            for s, d, c in edges:
                 if d not in written:
                     written.add(d)
                     nxt[d] = dict(nxt.get(d, {}))
@@ -505,4 +530,5 @@ def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
         row_label=mu_l,
         col_label=nu_l,
         terms=final,
+        program=tuple(program),
     )

@@ -222,7 +222,8 @@ class Ring:
         q = self.q
         if self.depth == 1:
             # C = [[[1]]] at depth 1 (1 * 1 = 1); the loop below would triple
-            # the cost of the commonest product, e.g. in EntryFormula.evaluate
+            # the cost of the commonest product, e.g. in the torus walk or on
+            # an edge of an entry formula's program
             return (a[0] * b[0] % q,)
         out = [0] * self.depth
         for k, i, j, c in self._terms:

@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chevalley
 from chevalley.cli import main
 from chevalley.decompose import compose
 from chevalley.rings import make_ring
@@ -147,6 +152,47 @@ def test_bad_configuration_exits_two(capsys, tmp_path):
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# a usage error, then two verbs: the parser built by the first call serves
+# the later ones
+ONE_PROCESS_ARGVS = (
+    ["verify", "lemma2", "--system", "A2", "--ring"],
+    ["verify", "lemma2", "--system", "A2", "--ring", "zmod:3^2", "--count", "2"],
+    ["roots", "--system", "A2"],
+)
+
+ONE_PROCESS_SCRIPT = """
+import contextlib, io, json, sys
+from chevalley import cli
+built = []
+build = cli.build_parser
+cli.build_parser = lambda: built.append(1) or build()
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"built": len(built), "runs": runs}))
+"""
+
+
+def test_one_process_runs_verbs_as_separate_processes_do():
+    env = dict(os.environ, PYTHONPATH=str(Path(chevalley.__file__).resolve().parents[1]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=False)
+
+    one = json.loads(run("-c", ONE_PROCESS_SCRIPT, json.dumps(ONE_PROCESS_ARGVS)).stdout)
+    assert one["built"] == 1
+    for argv, got in zip(ONE_PROCESS_ARGVS, one["runs"]):
+        alone = run("-m", "chevalley", *argv)
+        assert got == [alone.returncode, alone.stdout, alone.stderr], argv
+    codes = [code for code, _, _ in one["runs"]]
+    usage_err = one["runs"][0][2]
+    assert codes == [2, 0, 0]
+    assert usage_err.startswith("error: ") and usage_err.count("\n") == 1
 
 
 def test_seeded_lemma2_over_a_large_prime_field_finishes():

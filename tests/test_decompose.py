@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -624,18 +625,58 @@ def termwise_evaluate(ef: EntryFormula, sys: RootSystem, f: FactoredElement):
     return torus_diag(sys, f)[ef.row] * total
 
 
-@pytest.mark.parametrize("desc", ["zmod:3^4", "gf:10007", "trunc:3:3", "ext:zmod:5^2:2:3"])
-def test_entry_formula_evaluate_matches_termwise_reference(desc, monkeypatch):
-    sys, ring = system("D4"), make_ring(desc)
-    rng = random.Random(49)
-    # the product is a polynomial identity, so the parameters are arbitrary
-    f = FactoredElement(
+def reference_prefix_evaluate(ef: EntryFormula, sys: RootSystem, f: FactoredElement):
+    """The term walk `EntryFormula.evaluate` ran before it read the
+    program, kept verbatim: terms in lexicographic order of their factor
+    tuples, one product per factor past the prefix shared with the term
+    before."""
+    ring = f.ring
+    kind, root = ef.row_label
+    d_row = f.lam if kind == "h" else f.lam * Character(ring, f.s).value(root)
+    params = {("t", i): x.vec for i, x in enumerate(f.t)}
+    params.update({("u", i): x.vec for i, x in enumerate(f.u)})
+    total = [0] * ring.depth
+    prefix = [ring.one.vec]
+    last: tuple = ()
+    for coeff, factors in sorted(ef.terms, key=itemgetter(1)):
+        k = 0
+        for a, b in zip(last, factors):
+            if a != b:
+                break
+            k += 1
+        del prefix[k + 1:]
+        v = prefix[-1]
+        for factor in factors[k:]:
+            v = ring.mul_vec(v, params[factor])
+            prefix.append(v)
+        total = [s + coeff * x for s, x in zip(total, v)]
+        last = factors
+    return d_row * ring.elem(total)
+
+
+def arbitrary_factored(sys: RootSystem, ring, rng) -> FactoredElement:
+    """Units lam and s, arbitrary t and u: the product is a polynomial
+    identity, so an entry formula holds at any parameters."""
+    return FactoredElement(
         ring=ring,
         lam=ring.random_unit(rng),
         s=tuple(ring.random_unit(rng) for _ in range(sys.rank)),
         t=tuple(ring.random_element(rng) for _ in range(sys.m)),
         u=tuple(ring.random_element(rng) for _ in range(sys.m)),
     )
+
+
+def program_products(ef: EntryFormula) -> int:
+    """Ring products the program states: one per X and H edge, and one
+    square of the parameter per layer with H edges."""
+    return sum(len(layer.x) + len(layer.h) + bool(layer.h) for layer in ef.program)
+
+
+@pytest.mark.parametrize("desc", ["zmod:3^4", "gf:10007", "trunc:3:3", "ext:zmod:5^2:2:3"])
+def test_entry_formula_evaluate_matches_termwise_reference(desc, monkeypatch):
+    sys, ring = system("D4"), make_ring(desc)
+    rng = random.Random(49)
+    f = arbitrary_factored(sys, ring, rng)
     products = []
     mul_vec = ring.mul_vec
     monkeypatch.setattr(ring, "mul_vec", lambda a, b: products.append(1) or mul_vec(a, b))
@@ -650,18 +691,86 @@ def test_entry_formula_evaluate_matches_termwise_reference(desc, monkeypatch):
     cells += [(neg(sys.positive[-1]), sys.positive[-1]), (("h", 1), ("h", 1))]
     for mu, nu in cells:
         ef = entry_formula(sys, mu, nu)
-        _, fixed = evaluate_counted(dataclasses.replace(ef, terms=()))
-        # out of lexicographic order, with repeated factor tuples and one
-        # term's factors a prefix of another's
-        shuffled = list(ef.terms) + [(5, (("u", 1), ("t", 0))), (-3, (("t", 0),)), (2, ()), (1, (("t", 0),))]
-        rng.shuffle(shuffled)
-        for formula in (ef, dataclasses.replace(ef, terms=tuple(shuffled))):
-            value, count = evaluate_counted(formula)
-            assert value == termwise_evaluate(formula, sys, f), (mu, nu)
-            # one product per distinct nonempty prefix, beside the torus
-            # diagonal and the final product that every formula makes
-            prefixes = {fs[:i] for _, fs in formula.terms for i in range(1, len(fs) + 1)}
-            assert count == fixed + len(prefixes), (mu, nu)
+        # an empty program makes only the row's torus value and its product
+        _, fixed = evaluate_counted(dataclasses.replace(ef, program=()))
+        value, count = evaluate_counted(ef)
+        assert value == termwise_evaluate(ef, sys, f) == reference_prefix_evaluate(ef, sys, f), (mu, nu)
+        assert count == fixed + program_products(ef), (mu, nu)
+
+
+def test_entry_formula_evaluate_reads_no_terms():
+    sys, ring = system("D4"), make_ring("zmod:3^3")
+    rng = random.Random(51)
+    f = arbitrary_factored(sys, ring, rng)
+    labels = list(sys.roots) + [("h", i) for i in range(sys.rank)]
+    for _ in range(10):
+        ef = entry_formula(sys, labels[rng.randrange(len(labels))], labels[rng.randrange(len(labels))])
+        assert dataclasses.replace(ef, terms=()).evaluate(sys, f) == ef.evaluate(sys, f)
+
+
+def reference_live_program(sys: RootSystem, ef: EntryFormula) -> list:
+    """Each factor's live states and entries by brute force on the dense
+    ad x_r: a state is reached when some path of nonzero entries of the
+    earlier factors (identity, X or X^2) leads to it from the column, and
+    reaches the row when one through the later factors leads on to the row.
+    Per factor: (kept states, X entries, X^2 entries) as sets."""
+    N = structure_constants(sys)
+    # u_m ... u_1, then t_m ... t_1: the order the factors act on a column
+    roots = [neg(p) for p in reversed(sys.positive)] + list(reversed(sys.positive))
+    steps = []
+    for r in roots:
+        X = ad_x(sys, N, r).astype(np.int64)
+        steps.append((X != 0, (X @ X) != 0))
+    eye = np.eye(sys.n, dtype=bool)
+    reached = [eye[ef.col]]
+    for X, H in steps:
+        reached.append(((eye | X | H) @ reached[-1]))
+    reaches = [eye[ef.row]]
+    for X, H in reversed(steps):
+        reaches.append(reaches[-1] @ (eye | X | H))
+    reaches.reverse()
+    live = []
+    for k, (X, H) in enumerate(steps):
+        src, dst = reached[k], reaches[k + 1]
+        keep = {s for s in range(sys.n) if src[s] and dst[s]}
+        edges = [{(s, d) for d, s in zip(*np.nonzero(T)) if src[s] and dst[d]} for T in (X, H)]
+        live.append((keep, *edges))
+    return live
+
+
+def _liveness_cells():
+    sys = system("A2")
+    labels = list(sys.roots) + [("h", i) for i in range(sys.rank)]
+    cells = [(sys, mu, nu) for mu in labels for nu in labels]
+    sys = system("D4")
+    labels = list(sys.roots) + [("h", i) for i in range(sys.rank)]
+    rng = random.Random(52)
+    cells += [(sys, labels[rng.randrange(len(labels))], labels[rng.randrange(len(labels))]) for _ in range(12)]
+    cells += [(sys, neg(sys.positive[-1]), sys.positive[-1])]
+    return cells
+
+
+def test_entry_program_edges_are_live():
+    for sys, mu, nu in _liveness_cells():
+        ef = entry_formula(sys, mu, nu)
+        want = reference_live_program(sys, ef)
+        assert len(ef.program) == len(want) == 2 * sys.m
+        for layer, (keep, x, h) in zip(ef.program, want):
+            assert set(layer.keep) == keep, (mu, nu, layer.factor)
+            assert len(layer.keep) == len(keep)
+            for got, edges in ((layer.x, x), (layer.h, h)):
+                assert {(s, d) for s, d, _ in got} == edges, (mu, nu, layer.factor)
+                assert len(got) == len(edges) and all(c for _, _, c in got)
+
+
+@pytest.mark.parametrize("desc", ["zmod:3^3", "trunc:3:3", "ext:zmod:5^2:2:3"])
+def test_entry_formula_e7_lowest_highest_matches_compose(desc):
+    sys, ring = system("E7"), make_ring(desc)
+    theta = sys.positive[-1]
+    ef = entry_formula(sys, neg(theta), theta)
+    assert len(ef.terms) == 11131
+    f = arbitrary_factored(sys, ring, random.Random(53))
+    assert ef.evaluate(sys, f) == compose(sys, f).mat.get(ef.row, ef.col)
 
 
 def test_entry_formula_shapes():
@@ -782,6 +891,7 @@ def dfs_entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
         row_label=mu_l,
         col_label=nu_l,
         terms=final,
+        program=(),
     )
 
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from chevalley.decompose import _entry_layers
 from chevalley.group import _off_identity, x_elem
 from chevalley.lie import (
     StructureConstants,
@@ -98,7 +99,8 @@ def test_ad_nilpotent_cube(token):
 
 
 def test_ad_x_is_formed_from_the_tables_and_not_cached():
-    # only the structure constants and the sparse tables stay on the system:
+    # only the structure constants, the sparse tables and entry_formula's
+    # entry lists (tuples of ints read off those tables) stay on the system:
     # ad_x forms its dense matrix from the table on each call
     sys = system("E6")
     N = structure_constants(sys)
@@ -106,7 +108,11 @@ def test_ad_x_is_formed_from_the_tables_and_not_cached():
         X = ad_x(sys, N, r)
         assert np.array_equal(X, ad_x_tables(sys, N, r)[0].dense())
         assert not X.flags.writeable
-    assert all(key == "N" or (key[0] == "ad_tables" and sys.is_root(key[1])) for key in sys._ad_cache)
+    layers = _entry_layers(sys)
+    assert sys._ad_cache["entry_layers"] is layers and len(layers) == 2 * sys.m
+    assert all(type(v) is int for _, x, h in layers for entry in x + h for v in entry)
+    assert all(key in ("N", "entry_layers") or (key[0] == "ad_tables" and sys.is_root(key[1]))
+               for key in sys._ad_cache)
     assert {("ad_tables", r) for r in sys.roots} <= set(sys._ad_cache)
 
 
