@@ -485,6 +485,11 @@ def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
     it records the states and entries it used as the formula's `program`.
     X_r and H_r entries through the Cartan subspace make coefficients beyond
     +-1.
+
+    A monomial is carried as a str with one character per factor, chr of
+    the factor's rank among the sorted factors (a str keeps its hash once
+    computed, and (len, str) orders monomials as their factor tuples); only
+    the nonzero terms at the row are sorted and decoded into tuples.
     """
     mu_l = ("h", mu[1]) if isinstance(mu[0], str) else ("x", tuple(mu))
     nu_l = ("h", nu[1]) if isinstance(nu[0], str) else ("x", tuple(nu))
@@ -498,7 +503,9 @@ def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
         live.append(live[-1] | {s for s, d, _ in x + h if d in live[-1]})
     live.reverse()
 
-    state: dict[int, dict[tuple, int]] = {col: {(): 1}}
+    names = sorted(factor for factor, _, _ in layers)
+    code = {factor: chr(k) for k, factor in enumerate(names)}
+    state: dict[int, dict[str, int]] = {col: {"": 1}}
     program = []
     for k, (factor, x, h) in enumerate(layers):
         after = live[k + 1]
@@ -509,7 +516,7 @@ def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
         # an edge adds to it
         nxt = {s: state[s] for s in layer.keep}
         written: set[int] = set()
-        for edges, gained in ((layer.x, (factor,)), (layer.h, (factor, factor))):
+        for edges, gained in ((layer.x, code[factor]), (layer.h, 2 * code[factor])):
             for s, d, c in edges:
                 if d not in written:
                     written.add(d)
@@ -520,9 +527,9 @@ def entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
                     target[key] = target.get(key, 0) + c * v
         state = nxt
 
-    final = tuple(
-        (c, fs) for fs, c in sorted(state.get(row, {}).items(), key=lambda kv: (len(kv[0]), kv[0])) if c
-    )
+    poly = state.get(row, {})
+    final = tuple((poly[fs], tuple(map(names.__getitem__, map(ord, fs))))
+                  for fs in sorted((fs for fs, c in poly.items() if c), key=lambda fs: (len(fs), fs)))
     return EntryFormula(
         system=sys.name,
         row=row,

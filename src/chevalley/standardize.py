@@ -12,8 +12,9 @@ itself, which the certificate pipeline then witnesses element by element.
 
 Both it and the plain-commutation control are built block by block over
 F_p (`_canonical_blocks`) from the entries of x_e(1) - I on the generator
-tables; only the -x_e(1) M columns form x_e(1), as `x_elem` over gf:p.  So
-p must be an odd prime: any other p is refused with RingError by `make_ring`.
+tables, and no generator matrix is formed: the -x_e(1) M columns are one
+sparse join of those entries with the entries of every M.  So p must be an
+odd prime: any other p is refused with RingError by `make_ring`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import RecoveryError, designated_positions, normal_form_word, recover
-from .group import GroupElement, _off_identity, congruence_member, graph_matrix, inverse_word, word_to_json, x_elem
-from .lie import SparseColumns, ad_x_tables, structure_constants, t_matrix
+from .group import GroupElement, _off_identity, congruence_member, graph_matrix, inverse_word, word_to_json
+from .lie import ad_x_tables, structure_constants, t_matrix
 from .rings import Ring, RingError, make_ring
 from .roots import RootSystem, neg
 
@@ -67,65 +68,90 @@ def _is_canonical(rows, cols, vals, p: int) -> bool:
                 and ((vals >= 1) & (vals < p)).all())
 
 
-def _commutator_entries(sys: RootSystem, field: Ring, e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, cell, value) triples of vec(Z x - x Z) for x = x_e(1) over the
-    field, row-major on both sides.
+def _commutator_entries(n: int, a, b, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, cell, value) triples of vec(Z x - x Z) for x = I + D, given the
+    entries D[a, b] = v, row-major on both sides.
 
     Row (i, j) gets +x[k, j] on cell (i, k) and -x[i, k] on cell (k, j).
-    The identity part of x commutes with Z, so only the entries of x - I
-    are read, from the generator tables (`_off_identity`), each once per
-    value of the free index.
+    The identity part of x commutes with Z, so only the entries of D are
+    read, each once per value of the free index.
     """
-    n = sys.n
-    _, a, b, v = _off_identity(sys, field, [e], [field.one])
     f = np.arange(n)[:, None]
     rows = np.concatenate([(f * n + b).ravel(), (a * n + f).ravel()])
     cells = np.concatenate([(f * n + a).ravel(), (b * n + f).ravel()])
-    vals = np.concatenate([np.tile(v[0], n), np.tile(-v[0], n)])
+    vals = np.concatenate([np.tile(v, n), np.tile(-v, n)])
     return rows, cells, vals
 
 
 def _canonical_blocks(sys: RootSystem, field: Ring, blocks, column: np.ndarray, extra) -> np.ndarray:
     """Canonical COO of n^2 rows per generator e of `blocks`: vec(Z x_e(1) -
     x_e(1) Z) on the unknown column[c] of each cell c of Z (column -1: a
-    frozen cell, dropped), beside the (rows, cols, vals) that extra(bi, e)
-    yields.  Each block's rows lie above the block before, so each block is
-    made canonical on its own and the blocks concatenated: only one block's
-    raw entries are held at once."""
+    frozen cell, dropped), beside the (rows, cols, vals) that extra(bi, e,
+    off) yields, off the entries (rows, cols, values) of x_e(1) - I read
+    from the generator tables (`_off_identity`).  Each block's rows lie
+    above the block before, so each block is made canonical on its own and
+    the blocks concatenated: only one block's raw entries are held at once."""
     n, coos = sys.n, []
     for bi, e in enumerate(blocks):
-        eq, cell, v = _commutator_entries(sys, field, e)
+        _, di, dj, dv = _off_identity(sys, field, [e], [field.one])
+        off = (di, dj, dv[0])
+        eq, cell, v = _commutator_entries(n, *off)
         kept = column[cell] >= 0
-        parts = [(eq[kept], column[cell[kept]], v[kept]), *extra(bi, e)]
+        parts = [(eq[kept], column[cell[kept]], v[kept]), *extra(bi, e, off)]
         rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
         coos.append(_coo(bi * n * n + rows, cols, vals, field.p))
     return np.concatenate(coos, axis=1)
 
 
+def _abc_tables(sys: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(table, row, column, coefficient) of the nonzero entries of the
+    matrices M_k the abc unknowns multiply, flat: the torus diagonals
+    T_1..T_l are tables 0..l-1, and X = ad x_r of the j-th root of
+    `sys.roots` is table l + j."""
+    N = structure_constants(sys)
+    parts = []
+    for i in range(sys.rank):
+        d = t_matrix(sys, i).diagonal()
+        c = np.flatnonzero(d)
+        parts.append((c, c, d[c]))
+    parts += [(X.dst, X.src, X.coeff) for X in (ad_x_tables(sys, N, r)[0] for r in sys.roots)]
+    table = np.repeat(np.arange(len(parts)), [len(c) for _, c, _ in parts])
+    return (table, *(np.concatenate(a) for a in zip(*parts)))
+
+
 def build_linearized_system(sys: RootSystem, p: int) -> LinSystem:
     """Blocks for the simple roots and their negatives, with designated zeros."""
     field, n = make_ring(f"gf:{p}"), sys.n
-    zeros = designated_positions(sys).cell_set()
-    keep = np.array([i * n + j for i in range(n) for j in range(n) if (i, j) not in zeros])
+    frozen = np.zeros(n * n, dtype=bool)
+    frozen[[i * n + j for i, j in designated_positions(sys).cell_set()]] = True
+    keep = np.flatnonzero(~frozen)
     z_cols = len(keep)
     column = np.full(n * n, -1, dtype=np.int64)
     column[keep] = np.arange(z_cols)
     blocks = [s for s in sys.simple] + [neg(s) for s in sys.simple]
 
-    # sparse columns of T_1..T_l, then ad x_r for every root r but the
-    # block's own: `width` unknowns a block
-    torus = [SparseColumns(n, [(c, c, int(d)) for c, d in enumerate(t_matrix(sys, i).diagonal())])
-             for i in range(sys.rank)]
+    # T_1..T_l, then ad x_r for every root r but the block's own: `width`
+    # unknowns a block
+    table, dst, src, coeff = _abc_tables(sys)
     width = sys.rank + len(sys.roots) - 1
 
-    def abc_columns(bi, e):
-        # the column of -(x_e(1) M) for each M, from M's nonzero columns
-        xe = x_elem(sys, field, e, field.one).mat.data[0]
-        mats = torus + [ad_x_tables(sys, structure_constants(sys), r)[0] for r in sys.roots if r != e]
-        for k, M in enumerate(mats):
-            P = M.right_mul_t(xe.T).T
-            i, c = np.nonzero(P)
-            yield i * n + M.cols[c], np.full(len(i), z_cols + bi * width + k, dtype=np.int64), -P[i, c]
+    def abc_columns(bi, e, off):
+        # -(x_e(1) M) on M's unknown column, for every M but e's own table,
+        # with x_e(1) = I + D: the identity keeps each entry M[d, c], and D
+        # adds D[i, d] M[d, c] for each entry of D's column d (a row-by-row
+        # sparse product, every row at once); `_coo` sums the two
+        own = sys.rank + sys.roots.index(tuple(e))
+        kept = table != own
+        d, c, a = dst[kept], src[kept], coeff[kept]
+        col = z_cols + bi * width + table[kept] - (table[kept] > own)
+        order = np.argsort(off[1])
+        i, j, v = (x[order] for x in off)
+        lo = np.searchsorted(j, d)
+        count = np.searchsorted(j, d, side="right") - lo
+        m = np.repeat(np.arange(len(d)), count)
+        k = lo[m] + np.arange(len(m)) - (np.cumsum(count) - count)[m]
+        yield d * n + c, col, -a
+        yield i[k] * n + c[m], col[m], -a[m] * v[k]
 
     return LinSystem(
         system=sys.name,
@@ -144,7 +170,7 @@ def build_commutation_system(sys: RootSystem, p: int) -> LinSystem:
     return LinSystem(
         system=sys.name,
         p=p,
-        matrix=_canonical_blocks(sys, field, sys.roots, np.arange(n * n), lambda bi, r: ()),
+        matrix=_canonical_blocks(sys, field, sys.roots, np.arange(n * n), lambda bi, r, off: ()),
         equations=len(sys.roots) * n * n,
         z_unknowns=n * n,
         abc_unknowns=0,

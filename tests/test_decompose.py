@@ -11,7 +11,9 @@ from chevalley import decompose, group
 from chevalley.decompose import (
     EntryFormula,
     FactoredElement,
+    ProgramLayer,
     RecoveryError,
+    _entry_layers,
     compose,
     designated_positions,
     entry_formula,
@@ -906,6 +908,103 @@ def _cells(token):
 def test_entry_formula_equals_path_dfs(cell):
     sys, mu, nu = cell
     assert entry_formula(sys, mu, nu) == dfs_entry_formula(sys, mu, nu)
+
+
+def reference_tuple_entry_formula(sys: RootSystem, mu, nu) -> EntryFormula:
+    """`entry_formula` verbatim from when its forward pass keyed each
+    monomial by its tuple of (kind, index) factors and sorted every
+    monomial at the row, zeros included, before dropping the zeros."""
+    mu_l = ("h", mu[1]) if isinstance(mu[0], str) else ("x", tuple(mu))
+    nu_l = ("h", nu[1]) if isinstance(nu[0], str) else ("x", tuple(nu))
+    row = h_index(sys, mu_l[1]) if mu_l[0] == "h" else root_index(sys, mu_l[1])
+    col = h_index(sys, nu_l[1]) if nu_l[0] == "h" else root_index(sys, nu_l[1])
+    layers = _entry_layers(sys)
+
+    # live[k]: states from which the row is reachable through factors k, k+1, ...
+    live = [{row}]
+    for _, x, h in reversed(layers):
+        live.append(live[-1] | {s for s, d, _ in x + h if d in live[-1]})
+    live.reverse()
+
+    state: dict[int, dict[tuple, int]] = {col: {(): 1}}
+    program = []
+    for k, (factor, x, h) in enumerate(layers):
+        after = live[k + 1]
+        layer = ProgramLayer(factor, tuple(s for s in state if s in after),
+                             *(tuple(e for e in edges if e[0] in state and e[1] in after) for edges in (x, h)))
+        program.append(layer)
+        # the identity term keeps each polynomial; one is copied only when
+        # an edge adds to it
+        nxt = {s: state[s] for s in layer.keep}
+        written: set[int] = set()
+        for edges, gained in ((layer.x, (factor,)), (layer.h, (factor, factor))):
+            for s, d, c in edges:
+                if d not in written:
+                    written.add(d)
+                    nxt[d] = dict(nxt.get(d, {}))
+                target = nxt[d]
+                for fs, v in state[s].items():
+                    key = fs + gained
+                    target[key] = target.get(key, 0) + c * v
+        state = nxt
+
+    final = tuple(
+        (c, fs) for fs, c in sorted(state.get(row, {}).items(), key=lambda kv: (len(kv[0]), kv[0])) if c
+    )
+    return EntryFormula(
+        system=sys.name,
+        row=row,
+        col=col,
+        row_label=mu_l,
+        col_label=nu_l,
+        terms=final,
+        program=tuple(program),
+    )
+
+
+# the 12 D5 cells of the perfbench formula workload
+D5_FORMULA_CELLS = (
+    ((1, 0, 0, 0, 0), (1, 0, 0, 0, 0)),
+    ((-1, 0, 0, 0, 0), (-1, 0, 0, 0, 0)),
+    ((0, 0, 1, 0, 0), (0, 0, 1, 0, 0)),
+    (("h", 0), ("h", 0)),
+    (("h", 2), ("h", 4)),
+    ((1, 2, 2, 1, 1), ("h", 1)),
+    ((-1, -2, -2, -1, -1), ("h", 1)),
+    ((0, 0, 0, 0, -1), (0, 0, -1, -1, 0)),
+    ((-1, -1, -1, 0, 0), (1, 1, 0, 0, 0)),
+    ((1, 2, 2, 1, 1), (0, 0, 1, 1, 0)),
+    ((-1, -1, -1, -1, -1), (0, 1, 1, 1, 1)),
+    ((0, 0, 1, 0, 0), (0, 1, 2, 1, 1)),
+)
+
+
+def _formula_cells(case):
+    if case == "A2":
+        labels = list(A2.roots) + [("h", 0), ("h", 1)]
+        return A2, [(mu, nu) for mu in labels for nu in labels]
+    if case == "D4":
+        sys = system("D4")
+        labels = list(sys.roots) + [("h", i) for i in range(sys.rank)]
+        rng = random.Random(53)
+        return sys, [(rng.choice(labels), rng.choice(labels)) for _ in range(30)]
+    if case == "D5":
+        return system("D5"), list(D5_FORMULA_CELLS)
+    if case == "E6":
+        sys = system("E6")
+        return sys, [(neg(sys.maximal), sys.maximal)]
+    # 272 factors: more ranks than one byte can code
+    sys = system("A16")
+    return sys, [(neg(sys.simple[0]), neg(sys.simple[0]))]
+
+
+@pytest.mark.parametrize("case", ["A2", "D4", "D5", "E6", "A16"])
+def test_string_monomials_give_the_tuple_keyed_terms(case):
+    sys, cells = _formula_cells(case)
+    for mu, nu in cells:
+        ef, want = entry_formula(sys, mu, nu), reference_tuple_entry_formula(sys, mu, nu)
+        assert ef.terms == want.terms and ef == want, (mu, nu)
+        assert ef.program == want.program, (mu, nu)
 
 
 
