@@ -117,63 +117,27 @@ def index_of(sys: RootSystem, elem: BasisElem) -> int:
 
 
 class SparseColumns:
-    """Nonzero entries of an integer n x n matrix A, grouped by column.
+    """Nonzero entries of an integer n x n matrix A as a read-only COO record.
 
     Built from (src, dst, coeff) triples, A[dst, src] = coeff, with distinct
-    (src, dst); zero coefficients are dropped.  `cols` lists the distinct
-    columns.  A right product M @ A touches only those columns, at
-    O(rows * nnz) cost, and `right_mul_t` forms them from M^T: the first
-    entry of each column gives row dst of M^T times coeff, and the remaining
-    entries (ad x_a has several only in column x_-a, whose image h_a spreads
-    over the Cartan rows) are added by one small product with `fold`.  All
-    arrays are read-only.  `col_bound` is the largest column sum of |coeff|,
-    so an entry of M @ A is at most col_bound times the largest |entry| of M.
+    (src, dst); zero coefficients are dropped, and `src`, `dst`, `coeff` hold
+    the rest sorted by (src, dst).  `col_bound` is the largest column sum of
+    |coeff|, so an entry of M @ A is at most col_bound times the largest
+    |entry| of M.
     """
 
-    __slots__ = ("n", "src", "dst", "coeff", "cols", "lead_dst", "lead_coeff",
-                 "extra_dst", "folded", "fold", "col_bound")
+    __slots__ = ("n", "src", "dst", "coeff", "col_bound")
 
     def __init__(self, n: int, entries):
         entries = sorted(e for e in entries if e[2])
-        lead, extra, folded = [], [], []
-        for s, d, c in entries:
-            if lead and lead[-1][0] == s:
-                if not folded or folded[-1] != len(lead) - 1:
-                    folded.append(len(lead) - 1)
-                extra.append((d, c, len(folded) - 1))
-            else:
-                lead.append((s, d, c))
         self.n = n
         self.src = _frozen([s for s, _, _ in entries])
         self.dst = _frozen([d for _, d, _ in entries])
         self.coeff = _frozen([c for _, _, c in entries])
-        self.cols = _frozen([s for s, _, _ in lead])
-        self.lead_dst = _frozen([d for _, d, _ in lead])
-        self.lead_coeff = _frozen([c for _, _, c in lead])
-        self.extra_dst = _frozen([d for d, _, _ in extra])
-        self.folded = frozen_index(folded)
-        # len(extra_dst) x len(folded): the coefficient of each further entry
-        fold = np.zeros((len(extra), len(folded)), dtype=np.int64)
-        for e, (_, c, k) in enumerate(extra):
-            fold[e, k] = c
-        self.fold = _frozen(fold)
         col_sums: dict[int, int] = {}
         for s, _, c in entries:
             col_sums[s] = col_sums.get(s, 0) + abs(c)
         self.col_bound = max(col_sums.values(), default=0)
-
-    def right_mul_t(self, MT: np.ndarray) -> np.ndarray:
-        """Rows `cols` of (M @ A)^T = A^T M^T, given M^T of shape (..., n, r),
-        as exact unreduced integers.  On a C-ordered M^T every gather is a
-        copy of contiguous rows (`take`, about twice as fast as the same
-        fancy index here)."""
-        if MT.shape[-2] != self.n:
-            raise ValueError(f"matrix with {MT.shape[-2]} columns times a sparse {self.n} x {self.n} table")
-        out = MT.take(self.lead_dst, axis=-2)
-        out *= self.lead_coeff[:, None]
-        if len(self.extra_dst):
-            out[..., self.folded, :] += self.fold.T @ MT.take(self.extra_dst, axis=-2)
-        return out
 
     def dense(self) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype=np.int64)
@@ -186,15 +150,6 @@ def _frozen(values) -> np.ndarray:
     a = np.array(values, dtype=np.int64)
     a.setflags(write=False)
     return a
-
-
-def frozen_index(positions: list[int]) -> slice | np.ndarray:
-    """An index for `positions`: a slice when they are one increasing run,
-    so an update through it is in place, else a read-only array."""
-    start = positions[0] if positions else 0
-    if positions == list(range(start, start + len(positions))):
-        return slice(start, start + len(positions))
-    return _frozen(positions)
 
 
 def ad_x_tables(sys: RootSystem, N: StructureConstants, r: Root) -> tuple[SparseColumns, SparseColumns]:

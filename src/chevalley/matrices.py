@@ -57,8 +57,9 @@ generator's dense stack are never written.  A chain, the running product
 of `group.word_to_matrix` (compose, a sweep's inverse word, a commutator
 word), hands no intermediate out, so from its first generator on it
 updates the one buffer it owns in place (`Mat.chain`), and `Mat.freeze`
-makes it read-only before it is returned.  A generator's dense stack is
-the update applied to a fresh identity buffer.
+makes it read-only before it is returned.  A diagonal's dense stack is
+the transposed view of that fresh buffer, and a generator's is the update
+applied to a fresh identity buffer.
 
 Every other product is dense.  There is no matrix inverse: a group element
 is inverted as its word of factors (`group.inverse_word`).  A matrix with
@@ -75,7 +76,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lie import frozen_index
 from .rings import Ring, RingElem, RingError
 
 
@@ -99,7 +99,7 @@ class ColumnLayout(NamedTuple):
 def _unipotent_update(ring: Ring, MT: np.ndarray, update) -> None:
     """M (I + sum s A) = M + sum s (M A) on the columns the terms touch, in
     place on the C-ordered (n, depth, r) buffer MT = M^T (module
-    docstring): one gather, the leads mixed, F folded in, one reduction
+    docstring): one gather, the leads mixed, F applied, one reduction
     and one write-back."""
     layout, lead, fold = update
     u = len(layout.cols)
@@ -154,7 +154,18 @@ def _checked_layout(ring: Ring, n: int, tables) -> ColumnLayout:
               coeff]
     for a in arrays:
         a.setflags(write=False)
-    return ColumnLayout(arrays[0], arrays[1], frozen_index(fold_at), coeff)
+    return ColumnLayout(arrays[0], arrays[1], _frozen_index(fold_at), coeff)
+
+
+def _frozen_index(positions: list[int]) -> slice | np.ndarray:
+    """An index for `positions`: a slice when they are one increasing run,
+    so an update through it is in place, else a read-only array."""
+    start = positions[0] if positions else 0
+    if positions == list(range(start, start + len(positions))):
+        return slice(start, start + len(positions))
+    index = np.array(positions, dtype=np.int64)
+    index.setflags(write=False)
+    return index
 
 
 def _diagonal_buffer(depth: int, n: int, entries) -> np.ndarray:
@@ -196,12 +207,7 @@ class Mat:
         """The read-only (depth, n, n) stack, (depth, r, n) for a row stack;
         a diagonal or a generator forms it here, once."""
         if self._data is None:
-            kind, parts = self.factor
-            if kind == "diag":
-                data = np.zeros((self.ring.depth, self.n, self.n), dtype=np.int64)
-                data[:, np.arange(self.n), np.arange(self.n)] = parts[:, 0]
-            else:
-                data = self._fresh_buffer().transpose(1, 2, 0)
+            data = self._fresh_buffer().transpose(1, 2, 0)
             data.setflags(write=False)
             self._data = data
         return self._data

@@ -3,10 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevalley.decompose import _entry_layers
 from chevalley.group import _off_identity, x_elem
 from chevalley.lie import (
+    SparseColumns,
     StructureConstants,
     ad_x,
     ad_x_tables,
@@ -114,6 +117,27 @@ def test_ad_x_is_formed_from_the_tables_and_not_cached():
     assert all(key in ("N", "entry_layers") or (key[0] == "ad_tables" and sys.is_root(key[1]))
                for key in sys._ad_cache)
     assert {("ad_tables", r) for r in sys.roots} <= set(sys._ad_cache)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)), st.integers(-4, 4), max_size=24),
+       st.randoms(use_true_random=False))
+def test_sparse_columns_is_the_sorted_nonzero_coo_record(cells, rng):
+    # distinct (src, dst) in any order, some coefficients zero: the record
+    # keeps the nonzero triples sorted by (src, dst), the order in which
+    # `_entry_layers` and the generator layout read the tables
+    entries = [(s, d, c) for (s, d), c in cells.items()]
+    rng.shuffle(entries)
+    A = SparseColumns(8, entries)
+    assert SparseColumns.__slots__ == ("n", "src", "dst", "coeff", "col_bound")
+    assert list(zip(A.src.tolist(), A.dst.tolist(), A.coeff.tolist())) == sorted(e for e in entries if e[2])
+    for a in (A.src, A.dst, A.coeff):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    want = np.zeros((8, 8), dtype=np.int64)
+    for s, d, c in entries:
+        want[d, s] = c
+    assert np.array_equal(A.dense(), want)
+    assert A.n == 8 and A.col_bound == np.abs(want).sum(axis=0).max()
 
 
 @pytest.mark.parametrize("token", ["A2", "A3", "D4"])

@@ -217,14 +217,14 @@ def sparse_table(A):
 
 
 def reference_right_mul(A, M):
-    """The deleted `SparseColumns.right_mul`, verbatim: columns `cols` of
-    M @ A over the last two axes of M, as exact unreduced integers."""
-    if M.shape[-1] != A.n:
-        raise ValueError(f"matrix with {M.shape[-1]} columns times a sparse {A.n} x {A.n} table")
-    out = M[..., A.lead_dst] * A.lead_coeff
-    if len(A.extra_dst):
-        out[..., A.folded] += M[..., A.extra_dst] @ A.fold
-    return out
+    """Columns `table_cols(A)` of M @ A over the last two axes of M, as exact
+    unreduced integers."""
+    return (M @ A.dense())[..., table_cols(A)]
+
+
+def table_cols(A):
+    """The sorted distinct columns a SparseColumns table touches."""
+    return sorted(set(A.src.tolist()))
 
 
 def reference_generator_product(ref, M, terms):
@@ -234,7 +234,8 @@ def reference_generator_product(ref, M, terms):
     for A, s in terms:
         svec = np.asarray(s.vec, dtype=np.int64)[:, None, None]
         sMA = ref.mat_elemmul(svec, ref.mat_mod(reference_right_mul(A, M)))
-        out[..., A.cols] = ref.mat_mod(out[..., A.cols] + sMA)
+        cols = table_cols(A)
+        out[..., cols] = ref.mat_mod(out[..., cols] + sMA)
     return out
 
 
@@ -308,8 +309,8 @@ def test_generator_update_matches_reference(args):
     assert np.array_equal(got.data, want)
 
 
-# two or three tables on 8 columns, several entries per column (the fold of
-# `SparseColumns.right_mul_t`) and columns that overlap partly or not at all
+# two or three tables on 8 columns, several entries per column (the other
+# entries of a `ColumnLayout`) and columns that overlap partly or not at all
 small_tables = st.lists(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-4, 4)),
                                  min_size=1, max_size=14), min_size=2, max_size=3)
 
@@ -344,7 +345,7 @@ def test_block_update_of_partly_overlapping_columns(desc):
         X = Mat.unipotent(ring, 8, terms)
         layout = X.factor[1][0]
         cols = layout.cols.tolist()
-        assert cols == sorted(set().union(*(table.cols.tolist() for table, _ in terms)))
+        assert cols == sorted(set().union(*(table_cols(table) for table, _ in terms)))
         # each column's lead is the first entry of the first table touching
         # it, and the leads with the other entries are every table entry
         u, J = len(cols), len(layout.gather) - 2 * len(cols)
@@ -356,7 +357,7 @@ def test_block_update_of_partly_overlapping_columns(desc):
             others = [(cols[fold_at[i]], layout.gather[2 * u + j], F[i, j]) for i, j in zip(*np.nonzero(F))]
             assert sorted(leads + others) == sorted(zip(table.src.tolist(), table.dst.tolist(), table.coeff.tolist()))
             for c, d, _ in leads:
-                assert next(i for i, (t, _) in enumerate(terms) if c in t.cols.tolist()) == k
+                assert next(i for i, (t, _) in enumerate(terms) if c in table_cols(t)) == k
                 assert d == min(table.dst[table.src == c])
         assert ((layout.coeff[:u] != 0).sum(axis=1) == 1).all()
         for seed, extreme in ((0, False), (1, True)):

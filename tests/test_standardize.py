@@ -269,9 +269,11 @@ def reference_commutation_coo(sys, p) -> np.ndarray:
 
 
 def reference_linearized_coo(sys, p) -> np.ndarray:
-    """The normalizer COO of `build_linearized_system`, its body verbatim
-    from when each block's x_e(1) was `reference_x_unit_int` over the
-    integers."""
+    """The normalizer COO of `build_linearized_system`, its body as when
+    each block's x_e(1) was `reference_x_unit_int` over the integers, with
+    x_e(1) M formed entry by entry from M's table: column j of
+    x_e(1)[:, dst] * coeff lands on cell (i, src[j]), and `_coo` sums the
+    entries of one cell."""
     table = designated_positions(sys)
     n = sys.n
     zeros = table.cell_set()
@@ -297,9 +299,9 @@ def reference_linearized_coo(sys, p) -> np.ndarray:
         mats = torus + [gens[r] for r in sys.positive if r != e]
         mats += [gens[neg(r)] for r in sys.positive if neg(r) != e]
         for k, M in enumerate(mats):
-            P = M.right_mul_t(xe.T).T
+            P = xe[:, M.dst] * M.coeff
             i, c = np.nonzero(P)
-            rows.append(base + i * n + M.cols[c])
+            rows.append(base + i * n + M.src[c])
             cols.append(np.full(len(i), off + k, dtype=np.int64))
             vals.append(-P[i, c])
         off += len(mats)
